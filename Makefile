@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race check lint allocguard chaos crashtest fedtest crawldtest tracetest bench bench-hotpath bench-scale experiments examples fuzz cover clean
+.PHONY: all build vet test test-short race check lint allocguard chaos crashtest fedtest crawldtest tracetest benchtest bench microbench bench-hotpath bench-scale experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -27,8 +27,9 @@ race:
 # full suite under the race detector, the allocation-regression guard
 # (which -race would skip), the kill-anywhere crash-recovery matrix
 # against the real binaries (smartcrawl and crawld), the federation
-# suite, the crawld service suite, and the trace-tooling suite.
-check: lint race allocguard crashtest fedtest crawldtest tracetest
+# suite, the crawld service suite, the trace-tooling suite, and the crawl
+# benchmark's self-test.
+check: lint race allocguard crashtest fedtest crawldtest tracetest benchtest
 
 # Static analysis: go vet, a gofmt cleanliness gate, and staticcheck when
 # the binary is on PATH (it is optional — the repo builds with the
@@ -88,6 +89,12 @@ fedtest:
 tracetest:
 	$(GO) test -race -count=1 -v ./internal/trace/ ./cmd/tracetool/
 
+# The crawl benchmark's self-test: toy-size workloads plus the recorded
+# toy output digests. perfbench is a module of its own, so the root
+# build and test commands never compile it.
+benchtest:
+	cd perfbench && $(GO) test -count=1 ./...
+
 # One pass over every per-figure bench, tables visible in the log.
 bench:
 	$(GO) test -bench . -benchtime 1x -v .
@@ -137,6 +144,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseFaultProfile -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzParseSpecs -fuzztime 30s ./internal/federate/
 	$(GO) test -fuzz FuzzPostingBlockRoundTrip -fuzztime 30s ./internal/index/
+	$(GO) test -fuzz FuzzHiddenSearch -fuzztime 30s ./internal/hidden/
 
 # Line-coverage report; per-package baseline numbers are recorded in
 # DESIGN.md ("Observability" section) — regenerate them with this target

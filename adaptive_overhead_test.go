@@ -9,7 +9,6 @@
 package smartcrawl_test
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -93,33 +92,7 @@ func TestAdaptiveOverheadUnderTwoPercent(t *testing.T) {
 			adaptive.CoveredCount, plain.CoveredCount)
 	}
 
-	const rounds = 10
-	var lastOff, lastOn time.Duration
-	for attempt := 0; attempt < 3; attempt++ {
-		minOff, minOn := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < rounds; i++ {
-			runtime.GC()
-			start := time.Now()
-			u.crawl(t, nil)
-			if d := time.Since(start); d < minOff {
-				minOff = d
-			}
-			runtime.GC()
-			start = time.Now()
-			u.crawlAdaptive(t)
-			if d := time.Since(start); d < minOn {
-				minOn = d
-			}
-		}
-		lastOff, lastOn = minOff, minOn
-		if minOn <= minOff+minOff/50+3*time.Millisecond {
-			t.Logf("adaptive overhead: plain min %v, adaptive min %v (%.2f%%)",
-				minOff, minOn, 100*(float64(minOn)/float64(minOff)-1))
-			return
-		}
-		t.Logf("attempt %d over budget: plain min %v, adaptive min %v — retrying",
-			attempt+1, minOff, minOn)
-	}
-	t.Fatalf("adaptive overhead too high in all attempts: plain min %v, adaptive min %v (%.2f%%)",
-		lastOff, lastOn, 100*(float64(lastOn)/float64(lastOff)-1))
+	requireOverheadBudget(t, "adaptive", "plain", "adaptive",
+		timed(func() { u.crawl(t, nil) }),
+		timed(func() { u.crawlAdaptive(t) }))
 }

@@ -2,15 +2,13 @@
 // the crawl merge stage, so every charged query pays one framed append.
 // BenchmarkDurableOverhead is the artifact recorded in BENCH_durable.json;
 // TestDurableOverheadUnderTwoPercent enforces the <2% budget in the
-// regular test run using the same interleaved min-of-N scheme as the
-// observability budget test (obs_overhead_test.go).
+// regular test run using the interleaved min-of-N scheme every overhead
+// budget test shares (requireOverheadBudget, overhead_test.go).
 package smartcrawl_test
 
 import (
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"smartcrawl"
 )
@@ -123,37 +121,7 @@ func TestDurableOverheadUnderTwoPercent(t *testing.T) {
 	u.crawlDurable(t, base)
 	u.crawlDurable(t, wal)
 
-	// Same scheme as TestObsOverheadUnderTwoPercent: interleaved
-	// min-of-10 timings, 2% relative + 3ms absolute budget, up to three
-	// attempts. A real regression fails every attempt; noise does not
-	// survive three.
-	const rounds = 10
-	var lastOff, lastOn time.Duration
-	for attempt := 0; attempt < 3; attempt++ {
-		minOff, minOn := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < rounds; i++ {
-			runtime.GC()
-			start := time.Now()
-			u.crawlDurable(t, base)
-			if d := time.Since(start); d < minOff {
-				minOff = d
-			}
-			runtime.GC()
-			start = time.Now()
-			u.crawlDurable(t, wal)
-			if d := time.Since(start); d < minOn {
-				minOn = d
-			}
-		}
-		lastOff, lastOn = minOff, minOn
-		if minOn <= minOff+minOff/50+3*time.Millisecond {
-			t.Logf("durable overhead: snapshot-only min %v, wal min %v (%.2f%%)",
-				minOff, minOn, 100*(float64(minOn)/float64(minOff)-1))
-			return
-		}
-		t.Logf("attempt %d over budget: snapshot-only min %v, wal min %v — retrying",
-			attempt+1, minOff, minOn)
-	}
-	t.Fatalf("journal overhead too high in all attempts: snapshot-only min %v, wal min %v (%.2f%%)",
-		lastOff, lastOn, 100*(float64(lastOn)/float64(lastOff)-1))
+	requireOverheadBudget(t, "durable", "snapshot-only", "wal",
+		timed(func() { u.crawlDurable(t, base) }),
+		timed(func() { u.crawlDurable(t, wal) }))
 }

@@ -8,9 +8,7 @@
 package smartcrawl_test
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"smartcrawl"
 )
@@ -91,33 +89,7 @@ func TestFederateOverheadUnderTwoPercent(t *testing.T) {
 			federated.CoveredCount, single.CoveredCount)
 	}
 
-	const rounds = 10
-	var lastOff, lastOn time.Duration
-	for attempt := 0; attempt < 3; attempt++ {
-		minOff, minOn := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < rounds; i++ {
-			runtime.GC()
-			start := time.Now()
-			u.crawl(t, nil)
-			if d := time.Since(start); d < minOff {
-				minOff = d
-			}
-			runtime.GC()
-			start = time.Now()
-			u.crawlFederated(t)
-			if d := time.Since(start); d < minOn {
-				minOn = d
-			}
-		}
-		lastOff, lastOn = minOff, minOn
-		if minOn <= minOff+minOff/50+3*time.Millisecond {
-			t.Logf("federation overhead: single min %v, federated-n1 min %v (%.2f%%)",
-				minOff, minOn, 100*(float64(minOn)/float64(minOff)-1))
-			return
-		}
-		t.Logf("attempt %d over budget: single min %v, federated-n1 min %v — retrying",
-			attempt+1, minOff, minOn)
-	}
-	t.Fatalf("federation overhead too high in all attempts: single min %v, federated-n1 min %v (%.2f%%)",
-		lastOff, lastOn, 100*(float64(lastOn)/float64(lastOff)-1))
+	requireOverheadBudget(t, "federation", "single", "federated-n1",
+		timed(func() { u.crawl(t, nil) }),
+		timed(func() { u.crawlFederated(t) }))
 }

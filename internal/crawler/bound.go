@@ -45,7 +45,7 @@ func (c *Bound) Run(budget int) (*Result, error) {
 	counting := deepweb.NewCounting(env.Searcher, budget)
 
 	pool := querypool.Generate(env.Local, env.Tokenizer, c.cfg)
-	invD := index.BuildInverted(env.Local.Records, env.Tokenizer)
+	invD := index.BuildInvertedIDs(env.Local.Records, env.Tokenizer, pool.Dict, 1)
 
 	inD := make([]bool, env.Local.Len())
 	for i := range inD {
@@ -55,13 +55,13 @@ func (c *Bound) Run(budget int) (*Result, error) {
 
 	type bqstate struct {
 		q      *querypool.Query
-		qD     []int
+		qD     []uint32
 		inPool bool
 		issued int
 	}
 	states := make([]*bqstate, 0, pool.Len())
 	for _, q := range pool.Queries {
-		qD := invD.Lookup(q.Keywords)
+		qD := invD.Lookup(q.IDs)
 		if len(qD) > 0 {
 			states = append(states, &bqstate{q: q, qD: qD, inPool: true})
 		}
@@ -108,7 +108,7 @@ func (c *Bound) Run(budget int) (*Result, error) {
 
 		// q(ΔD) relative to the current D: matched records of q(D)
 		// are covered; unmatched ones are the ΔD prediction.
-		var qDeltaD []int
+		var qDeltaD []uint32
 		for _, d := range best.qD {
 			if inD[d] && !t.res.Covered[d] {
 				qDeltaD = append(qDeltaD, d)

@@ -58,7 +58,7 @@ func (c *Ideal) Run(budget int) (*Result, error) {
 		issued  bool
 	}
 	states := make([]*iqstate, pool.Len())
-	fwd := index.NewForward()
+	fwd := index.NewForwardDense(env.Local.Len())
 	heap := lazyheap.New()
 	for _, q := range pool.Queries {
 		recs, err := c.oracle.Search(q.Keywords)
@@ -72,7 +72,7 @@ func (c *Ideal) Run(budget int) (*Result, error) {
 		st := &iqstate{q: q, covers: covers, benefit: len(covers)}
 		states[q.ID] = st
 		for _, d := range covers {
-			fwd.Add(d, q.ID)
+			fwd.Add(d, uint32(q.ID))
 		}
 		heap.Push(q.ID, float64(st.benefit))
 	}
@@ -106,7 +106,7 @@ func (c *Ideal) Run(budget int) (*Result, error) {
 			for _, q2 := range fwd.Remove(d) {
 				if st2 := states[q2]; st2 != nil && !st2.issued {
 					st2.benefit--
-					heap.Invalidate(q2)
+					heap.Invalidate(int(q2))
 				}
 			}
 			uncovered--

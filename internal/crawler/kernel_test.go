@@ -13,6 +13,32 @@ import (
 	"smartcrawl/internal/tokenize"
 )
 
+// countSatisfying counts the sample positions (matching some local record)
+// whose token sets contain every query keyword. The production path runs
+// the interned kernel (countSatisfyingIDs over precomputed counts; see
+// selection.go); this string implementation is the reference the
+// equivalence test checks the kernel against.
+func countSatisfying(positions []int, sampleTokens []map[string]struct{}, q deepweb.Query) int {
+	if len(positions) == 0 {
+		return 0
+	}
+	n := 0
+	for _, pos := range positions {
+		set := sampleTokens[pos]
+		ok := true
+		for _, w := range q {
+			if _, in := set[w]; !in {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCountSatisfyingKernelMatchesString checks, on random corpora, that
 // countSatisfyingIDs over interned sorted token sets returns exactly what
 // the string countSatisfying returns over the equivalent map sets — for

@@ -10,7 +10,6 @@ package crawler
 
 import (
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -20,7 +19,6 @@ import (
 	"smartcrawl/internal/index"
 	"smartcrawl/internal/match"
 	"smartcrawl/internal/querypool"
-	"smartcrawl/internal/relational"
 	"smartcrawl/internal/sample"
 	"smartcrawl/internal/stats"
 	"smartcrawl/internal/tokenize"
@@ -31,23 +29,6 @@ func forceSharding(t *testing.T) {
 	old := selShardMinBatch
 	selShardMinBatch = 1
 	t.Cleanup(func() { selShardMinBatch = old })
-}
-
-// scanDictFor mirrors querypool's corpus scan: BuildDict over the sorted
-// vocabulary, the same dictionary a corpus cache stores.
-func scanDictFor(recs []*relational.Record, tk *tokenize.Tokenizer) *tokenize.Dict {
-	seen := map[string]struct{}{}
-	for _, r := range recs {
-		for _, w := range r.Tokens(tk) {
-			seen[w] = struct{}{}
-		}
-	}
-	vocab := make([]string, 0, len(seen))
-	for w := range seen {
-		vocab = append(vocab, w)
-	}
-	sort.Strings(vocab)
-	return tokenize.BuildDict(vocab)
 }
 
 // TestRemoveBatchShardedMatchesSequential drives identical removal
@@ -194,7 +175,7 @@ func TestShardedMappedCrawlDeterministic(t *testing.T) {
 				Shards:      shards,
 			}
 			if mapped {
-				dict := scanDictFor(in.Local.Records, tk)
+				dict := index.ScanDict(in.Local.Records, tk)
 				inv := index.BuildCompressedInvertedIDs(in.Local.Records, tk, dict)
 				path := filepath.Join(dir, "oracle.scorp")
 				if err := index.WriteCorpus(path, dict, inv); err != nil {

@@ -1122,32 +1122,6 @@ func (s *Smart) Run(budget int) (*Result, error) {
 	return t.res, nil
 }
 
-// countSatisfying counts the sample positions (matching some local record)
-// whose token sets contain every query keyword. The production path runs
-// the interned kernel (countSatisfyingIDs over precomputed counts; see
-// selection.go); this string implementation is retained as the reference
-// the equivalence tests check the kernel against.
-func countSatisfying(positions []int, sampleTokens []map[string]struct{}, q deepweb.Query) int {
-	if len(positions) == 0 {
-		return 0
-	}
-	n := 0
-	for _, pos := range positions {
-		set := sampleTokens[pos]
-		ok := true
-		for _, w := range q {
-			if _, in := set[w]; !in {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			n++
-		}
-	}
-	return n
-}
-
 // eagerArgmax scans every live query state and returns the one with the
 // largest benefit (ties by smaller query ID), mirroring the lazy queue's
 // selection semantics at O(|Q|) per call.

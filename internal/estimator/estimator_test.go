@@ -7,7 +7,6 @@ import (
 
 	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/fixture"
-	"smartcrawl/internal/index"
 	"smartcrawl/internal/match"
 	"smartcrawl/internal/relational"
 	"smartcrawl/internal/sample"
@@ -18,13 +17,13 @@ import (
 // statsFor computes Stats for query q in the running-example universe.
 func statsFor(t *testing.T, u *fixtureUniverse, q deepweb.Query) Stats {
 	t.Helper()
-	freqD := u.invD.Count(q)
-	freqS := u.invS.Count(q)
+	qD := matching(u.localRecs, q, u.tk)
+	qS := matching(u.sampleRecs, q, u.tk)
+	freqD, freqS := len(qD), len(qS)
 	matchS := 0
-	for _, sid := range u.invS.Lookup(q) {
-		h := u.sampleRecs[sid]
-		for _, did := range u.invD.Lookup(q) {
-			if u.matcher.Match(u.localRecs[did], h) {
+	for _, h := range qS {
+		for _, d := range qD {
+			if u.matcher.Match(d, h) {
 				matchS++
 			}
 		}
@@ -39,7 +38,7 @@ func statsFor(t *testing.T, u *fixtureUniverse, q deepweb.Query) Stats {
 }
 
 type fixtureUniverse struct {
-	invD, invS            *index.Inverted
+	tk                    *tokenize.Tokenizer
 	localRecs, sampleRecs []*relational.Record
 	matcher               match.Matcher
 	theta                 float64
@@ -48,14 +47,10 @@ type fixtureUniverse struct {
 
 func newFixtureUniverse() *fixtureUniverse {
 	u := fixture.New()
-	// Reindex sample records with their own dense IDs.
-	sampleRecs := make([]*relational.Record, len(u.Sample.Records))
-	copy(sampleRecs, u.Sample.Records)
 	return &fixtureUniverse{
-		invD:       index.BuildInverted(u.Local.Records, u.Tokenizer),
-		invS:       index.BuildInverted(u.Sample.Records, u.Tokenizer),
+		tk:         u.Tokenizer,
 		localRecs:  u.Local.Records,
-		sampleRecs: sampleRecs,
+		sampleRecs: u.Sample.Records,
 		// Hidden records carry the extra rating attribute, so match
 		// on the name column only.
 		matcher: match.NewExactOn(u.Tokenizer, nil, []int{0}),
@@ -184,12 +179,10 @@ func TestLemma3SolidUnbiasedness(t *testing.T) {
 	}
 	q := deepweb.Query{"alpha", "beta"}
 	matcher := match.NewExact(tk)
-	invD := index.BuildInverted(local.Records, tk)
-	qD := invD.Lookup(q)
 
 	const theta = 0.02
 	const trials = 400
-	joiner := match.NewJoiner(recordsAt(local.Records, qD), tk, matcher)
+	joiner := match.NewJoiner(matching(local.Records, q, tk), tk, matcher)
 	sum := 0.0
 	for trial := 0; trial < trials; trial++ {
 		smp := sample.Bernoulli(hid, theta, rng.Split())
@@ -208,10 +201,14 @@ func TestLemma3SolidUnbiasedness(t *testing.T) {
 	}
 }
 
-func recordsAt(recs []*relational.Record, ids []int) []*relational.Record {
-	out := make([]*relational.Record, len(ids))
-	for i, id := range ids {
-		out[i] = recs[id]
+// matching returns the records whose token sets hold every keyword of q,
+// in table order.
+func matching(recs []*relational.Record, q deepweb.Query, tk *tokenize.Tokenizer) []*relational.Record {
+	var out []*relational.Record
+	for _, r := range recs {
+		if satisfies(r, q, tk) {
+			out = append(out, r)
+		}
 	}
 	return out
 }

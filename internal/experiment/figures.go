@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"smartcrawl/internal/crawler"
@@ -62,8 +63,8 @@ func (s *Setup) curveTable(title string, budget int, approaches []Approach) (*Ta
 func Table2RunningExample() (*Table, error) {
 	u := fixture.New()
 	pool := querypool.Generate(u.Local, u.Tokenizer, querypool.Config{MinSupport: 2, MaxQueryLen: 3})
-	invD := index.BuildInverted(u.Local.Records, u.Tokenizer)
-	invS := index.BuildInverted(reID(u.Sample.Records), u.Tokenizer)
+	invD := index.BuildInvertedIDs(u.Local.Records, u.Tokenizer, pool.Dict, 1)
+	invS := index.BuildInvertedIDs(reID(u.Sample.Records), u.Tokenizer, pool.Dict, 1)
 
 	// Matching on the name column (hidden records carry ratings).
 	matcher := match.NewExactOn(u.Tokenizer, nil, []int{0})
@@ -75,12 +76,12 @@ func Table2RunningExample() (*Table, error) {
 	}
 	biased, unbiased := estimator.Biased{}, estimator.Unbiased{}
 	for _, q := range pool.Queries {
-		qD := invD.Lookup(q.Keywords)
-		freqS := invS.Count(q.Keywords)
+		qD := invD.Lookup(q.IDs)
+		freqS := invS.Count(q.IDs)
 		matchS := 0
-		for _, pos := range invS.Lookup(q.Keywords) {
+		for _, pos := range invS.Lookup(q.IDs) {
 			for _, d := range joiner.Matches(u.Sample.Records[pos]) {
-				if containsInt(qD, d) {
+				if _, ok := slices.BinarySearch(qD, uint32(d)); ok {
 					matchS++
 				}
 			}
@@ -439,8 +440,8 @@ func EstimatorAccuracy(p Params) (*Table, error) {
 			return nil, err
 		}
 		pool := querypool.Generate(s.Instance.Local, s.Tok, querypool.Config{})
-		invD := index.BuildInverted(s.Instance.Local.Records, s.Tok)
-		invS := index.BuildInverted(reID(s.Sample.Records), s.Tok)
+		invD := index.BuildInvertedIDs(s.Instance.Local.Records, s.Tok, pool.Dict, 1)
+		invS := index.BuildInvertedIDs(reID(s.Sample.Records), s.Tok, pool.Dict, 1)
 		joiner := match.NewJoiner(s.Instance.Local.Records, s.Tok, s.Matcher)
 		alpha := theta * float64(s.Instance.Local.Len()) / float64(maxInt(s.Sample.Len(), 1))
 
@@ -452,15 +453,15 @@ func EstimatorAccuracy(p Params) (*Table, error) {
 		sums := map[string]*agg{"solid": {}, "overflow": {}}
 
 		for _, q := range pool.Queries {
-			qD := invD.Lookup(q.Keywords)
+			qD := invD.Lookup(q.IDs)
 			if len(qD) == 0 {
 				continue
 			}
-			freqS := invS.Count(q.Keywords)
+			freqS := invS.Count(q.IDs)
 			matchS := 0
-			for _, pos := range invS.Lookup(q.Keywords) {
+			for _, pos := range invS.Lookup(q.IDs) {
 				for _, d := range joiner.Matches(s.Sample.Records[pos]) {
-					if containsInt(qD, d) {
+					if _, ok := slices.BinarySearch(qD, uint32(d)); ok {
 						matchS++
 					}
 				}
@@ -687,19 +688,6 @@ func reID(recs []*relational.Record) []*relational.Record {
 		out[i] = &relational.Record{ID: i, Values: r.Values}
 	}
 	return out
-}
-
-func containsInt(sorted []int, v int) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == v
 }
 
 func abs(v float64) float64 {

@@ -316,7 +316,7 @@ func Crawl(local *relational.Table, s Searcher, pool []Query, tk *tokenize.Token
 		return strings.ToLower(strings.TrimSpace(r.Value(colOfHidden[hiddenCol])))
 	}
 	qD := make([][]int, len(pool))
-	fwd := index.NewForward()
+	fwd := index.NewForwardDense(local.Len())
 	freq := make([]int, len(pool))
 	for qi, q := range pool {
 		for _, r := range local.Records {
@@ -329,7 +329,7 @@ func Crawl(local *relational.Table, s Searcher, pool []Query, tk *tokenize.Token
 			}
 			if ok {
 				qD[qi] = append(qD[qi], r.ID)
-				fwd.Add(r.ID, qi)
+				fwd.Add(r.ID, uint32(qi))
 			}
 		}
 		freq[qi] = len(qD[qi])
@@ -361,7 +361,7 @@ func Crawl(local *relational.Table, s Searcher, pool []Query, tk *tokenize.Token
 		for _, qi := range fwd.Remove(d) {
 			if !issued[qi] {
 				freq[qi]--
-				heap.Invalidate(qi)
+				heap.Invalidate(int(qi))
 			}
 		}
 	}

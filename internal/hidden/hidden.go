@@ -16,8 +16,9 @@
 package hidden
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/index"
@@ -75,34 +76,56 @@ func RankByDocLength() RankFunc {
 
 const negInf = -1.7976931348623157e308
 
-// Database is a simulated hidden database.
+// Database is a simulated hidden database: the table's own frozen
+// vocabulary, an inverted index over it, and the static ranking
+// precomputed as one total order.
 type Database struct {
 	table *relational.Table
-	inv   *index.Inverted
-	score []float64 // precomputed rank scores, indexed by record ID
+	dict  *tokenize.Dict
+	inv   *index.InvertedIDs
+	order []uint32 // record IDs best first: score desc, then ID asc
+	rank  []uint32 // record ID → its position in order
 	k     int
 	mode  Mode
 }
 
 // New builds a hidden database over table with the given top-k limit,
 // ranking function, and search mode. Record IDs must be dense 0..n-1 (as
-// produced by relational.Table.Append).
+// produced by relational.Table.Append). A NaN score ranks below every
+// other score.
 func New(table *relational.Table, tk *tokenize.Tokenizer, k int, rank RankFunc, mode Mode) *Database {
 	if k <= 0 {
 		panic("hidden: k must be positive")
 	}
+	n := len(table.Records)
+	score := make([]float64, n)
+	for _, r := range table.Records {
+		if r.ID < 0 || r.ID >= n {
+			panic("hidden: record IDs must be dense")
+		}
+		score[r.ID] = rank(r)
+	}
+	dict := index.ScanDict(table.Records, tk)
 	db := &Database{
 		table: table,
-		inv:   index.BuildInverted(table.Records, tk),
-		score: make([]float64, len(table.Records)),
+		dict:  dict,
+		inv:   index.BuildInvertedIDs(table.Records, tk, dict, 1),
+		order: make([]uint32, n),
+		rank:  make([]uint32, n),
 		k:     k,
 		mode:  mode,
 	}
-	for _, r := range table.Records {
-		if r.ID < 0 || r.ID >= len(db.score) {
-			panic("hidden: record IDs must be dense")
+	for id := range db.order {
+		db.order[id] = uint32(id)
+	}
+	slices.SortFunc(db.order, func(a, b uint32) int {
+		if c := cmp.Compare(score[b], score[a]); c != 0 {
+			return c
 		}
-		db.score[r.ID] = rank(r)
+		return cmp.Compare(a, b)
+	})
+	for pos, id := range db.order {
+		db.rank[id] = uint32(pos)
 	}
 	return db
 }
@@ -111,7 +134,8 @@ func New(table *relational.Table, tk *tokenize.Tokenizer, k int, rank RankFunc, 
 func (db *Database) K() int { return db.k }
 
 // Search implements deepweb.Searcher. It is deterministic: ranking ties are
-// broken by record ID.
+// broken by record ID. It keeps no state between calls, so concurrent
+// searches are safe.
 func (db *Database) Search(q deepweb.Query) ([]*relational.Record, error) {
 	if err := deepweb.Validate(q); err != nil {
 		return nil, err
@@ -126,72 +150,100 @@ func (db *Database) Search(q deepweb.Query) ([]*relational.Record, error) {
 	}
 }
 
+// searchConjunctive returns every match in ascending record ID when there
+// are at most k of them, and otherwise the k best by rank.
 func (db *Database) searchConjunctive(q deepweb.Query) []*relational.Record {
-	ids := db.inv.Lookup(q)
-	if len(ids) > db.k {
-		ids = db.topK(ids, nil, len(q))
+	ids := db.fullMatches(q)
+	if len(ids) <= db.k {
+		return db.materialize(ids)
 	}
-	return db.materialize(ids)
+	keys := make([]uint64, len(ids))
+	for i, id := range ids {
+		keys[i] = uint64(db.rank[id])
+	}
+	return db.topK(keys)
 }
 
+// searchRanked orders candidates the way the paper describes Yelp behaving
+// (§2): records containing ALL query keywords rank on top; everything else
+// matching ANY keyword follows by the static relevance score alone.
+// Partial matches are NOT tiered by how many keywords they share — real
+// engines pad the tail with globally popular results, so the padding
+// repeats across queries instead of surfacing fresh entities per query.
+//
+// The posting lists are merged in record-ID order; each union member's
+// sort key is its rank position, pushed past every possible full match
+// (by the table size) unless all len(q) lists hold it. A keyword absent
+// from H contributes no list, so no record is then a full match.
 func (db *Database) searchRanked(q deepweb.Query) []*relational.Record {
-	// Union of posting lists with per-record match counts.
-	matched := make(map[int]int)
+	lists := make([][]uint32, 0, len(q))
+	total := 0
 	for _, w := range q {
-		for _, id := range db.inv.Postings(w) {
-			matched[id]++
+		if id, ok := db.dict.ID(w); ok {
+			p := db.inv.Postings(id)
+			lists = append(lists, p)
+			total += len(p)
 		}
 	}
-	if len(matched) == 0 {
+	partial := uint64(len(db.order))
+	keys := make([]uint64, 0, total)
+	heads := make([]int, len(lists))
+	for {
+		next, found := uint32(0), false
+		for i, p := range lists {
+			if h := heads[i]; h < len(p) && (!found || p[h] < next) {
+				next, found = p[h], true
+			}
+		}
+		if !found {
+			break
+		}
+		hits := 0
+		for i, p := range lists {
+			if h := heads[i]; h < len(p) && p[h] == next {
+				heads[i]++
+				hits++
+			}
+		}
+		key := uint64(db.rank[next])
+		if hits < len(q) {
+			key += partial
+		}
+		keys = append(keys, key)
+	}
+	return db.topK(keys)
+}
+
+// topK sorts rank keys ascending, cuts them at k and returns their
+// records. A key at or past the table size is a partial match's rank
+// position offset by the table size.
+func (db *Database) topK(keys []uint64) []*relational.Record {
+	if len(keys) == 0 {
 		return nil
 	}
-	ids := make([]int, 0, len(matched))
-	for id := range matched {
-		ids = append(ids, id)
+	slices.Sort(keys)
+	if len(keys) > db.k {
+		keys = keys[:db.k]
 	}
-	if len(ids) > db.k {
-		ids = db.topK(ids, matched, len(q))
-	} else {
-		db.sortByRank(ids, matched, len(q))
+	n := uint64(len(db.order))
+	out := make([]*relational.Record, len(keys))
+	for i, key := range keys {
+		out[i] = db.table.Records[db.order[key%n]]
 	}
-	return db.materialize(ids)
+	return out
 }
 
-// topK selects and orders the k best IDs under (full-match tier, score
-// desc, id asc). matched may be nil (conjunctive mode: every candidate is
-// a full match).
-func (db *Database) topK(ids []int, matched map[int]int, fullCount int) []int {
-	cp := make([]int, len(ids))
-	copy(cp, ids)
-	db.sortByRank(cp, matched, fullCount)
-	return cp[:db.k]
-}
-
-// sortByRank orders candidates the way the paper describes Yelp behaving
-// (§2): records containing ALL query keywords rank on top; everything else
-// follows by the static relevance score alone. Partial matches are NOT
-// tiered by how many keywords they share — real engines pad the tail with
-// globally popular results, so the padding repeats across queries instead
-// of surfacing fresh entities per query. matched is nil in conjunctive
-// mode (every candidate is a full match).
-func (db *Database) sortByRank(ids []int, matched map[int]int, fullCount int) {
-	full := func(id int) bool {
-		return matched == nil || matched[id] == fullCount
+// fullMatches returns the ascending IDs of the records containing every
+// keyword of q; a keyword outside the table's vocabulary matches nothing.
+func (db *Database) fullMatches(q deepweb.Query) []uint32 {
+	ids, ok := db.dict.Resolve(q)
+	if !ok {
+		return nil
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		ia, ib := ids[a], ids[b]
-		fa, fb := full(ia), full(ib)
-		if fa != fb {
-			return fa
-		}
-		if db.score[ia] != db.score[ib] {
-			return db.score[ia] > db.score[ib]
-		}
-		return ia < ib
-	})
+	return db.inv.Lookup(ids)
 }
 
-func (db *Database) materialize(ids []int) []*relational.Record {
+func (db *Database) materialize(ids []uint32) []*relational.Record {
 	if len(ids) == 0 {
 		return nil
 	}
@@ -212,7 +264,13 @@ func (db *Database) Table() *relational.Table { return db.table }
 
 // TrueFrequency returns |q(H)| — the number of hidden records satisfying q
 // under conjunctive semantics, regardless of mode. Oracle only.
-func (db *Database) TrueFrequency(q deepweb.Query) int { return db.inv.Count(q) }
+func (db *Database) TrueFrequency(q deepweb.Query) int {
+	ids, ok := db.dict.Resolve(q)
+	if !ok {
+		return 0
+	}
+	return db.inv.Count(ids)
+}
 
 // IsOverflowing reports whether q is an overflowing query (|q(H)| > k,
 // Definition 2). Oracle only.
@@ -223,5 +281,5 @@ func (db *Database) IsOverflowing(q deepweb.Query) bool {
 // FullMatch returns all records satisfying q conjunctively, ignoring the
 // top-k truncation. Oracle only (used to verify estimator math in tests).
 func (db *Database) FullMatch(q deepweb.Query) []*relational.Record {
-	return db.materialize(db.inv.Lookup(q))
+	return db.materialize(db.fullMatches(q))
 }

@@ -3,7 +3,9 @@ package hidden_test
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strconv"
+	"sync"
 	"testing"
 
 	"smartcrawl/internal/deepweb"
@@ -311,4 +313,197 @@ func tailSet(t *testing.T, tk *tokenize.Tokenizer, recs []*relational.Record, q 
 		}
 	}
 	return out
+}
+
+// referenceSearch is the brute-force specification of Database.Search. It
+// scans every record's token set and keeps the matches: records holding
+// every keyword in conjunctive mode, any keyword in ranked mode. It orders
+// them by (full match first, score desc, ID asc) and cuts at k. A
+// conjunctive result of at most k records comes back in ascending ID
+// order instead.
+func referenceSearch(tab *relational.Table, tk *tokenize.Tokenizer, rank hidden.RankFunc, k int, mode hidden.Mode, q deepweb.Query) []int {
+	type cand struct {
+		id    int
+		full  bool
+		score float64
+	}
+	var cands []cand
+	for _, r := range tab.Records {
+		set := tk.Set(r.Document())
+		n := 0
+		for _, w := range q {
+			if _, ok := set[w]; ok {
+				n++
+			}
+		}
+		if n == len(q) || (mode == hidden.ModeRanked && n > 0) {
+			cands = append(cands, cand{r.ID, n == len(q), rank(r)})
+		}
+	}
+	if mode == hidden.ModeConjunctive && len(cands) <= k {
+		sort.Slice(cands, func(a, b int) bool { return cands[a].id < cands[b].id })
+	} else {
+		sort.Slice(cands, func(a, b int) bool {
+			ca, cb := cands[a], cands[b]
+			if ca.full != cb.full {
+				return ca.full
+			}
+			if ca.score != cb.score {
+				return ca.score > cb.score
+			}
+			return ca.id < cb.id
+		})
+	}
+	if len(cands) > k {
+		cands = cands[:k]
+	}
+	ids := make([]int, len(cands))
+	for i, c := range cands {
+		ids[i] = c.id
+	}
+	return ids
+}
+
+// refVocab is the keyword universe of the reference tests. The last two
+// words never occur in a table, so queries also carry keywords absent
+// from H.
+var refVocab = []string{"aa", "bb", "cc", "dd", "ee", "ff", "zx", "zy"}
+
+// refTable builds a random table whose score column draws from three
+// values plus an unparsable one, so rank ties are everywhere.
+func refTable(rng *stats.RNG) *relational.Table {
+	tab := relational.NewTable("h", []string{"doc", "score"})
+	scores := []string{"1", "2", "3", "n/a"}
+	n := rng.Intn(60)
+	for i := 0; i < n; i++ {
+		doc := ""
+		for j := 1 + rng.Intn(4); j > 0; j-- {
+			doc += refVocab[rng.Intn(len(refVocab)-2)] + " "
+		}
+		tab.Append(doc, scores[rng.Intn(len(scores))])
+	}
+	return tab
+}
+
+// refQuery draws a sorted, unique query of one to four keywords.
+func refQuery(rng *stats.RNG) deepweb.Query {
+	perm := rng.Perm(len(refVocab))
+	q := make([]string, 1+rng.Intn(4))
+	for i := range q {
+		q[i] = refVocab[perm[i]]
+	}
+	sort.Strings(q)
+	return deepweb.Query(q)
+}
+
+func recordIDs(recs []*relational.Record) []int {
+	ids := make([]int, len(recs))
+	for i, r := range recs {
+		ids[i] = r.ID
+	}
+	return ids
+}
+
+// checkAgainstReference runs every query against a database over tab in
+// both modes and requires exactly the reference's records in the
+// reference's order.
+func checkAgainstReference(t *testing.T, tab *relational.Table, k int, queries []deepweb.Query) {
+	t.Helper()
+	tk := tokenize.New()
+	rank := hidden.RankByNumericColumn(1)
+	for _, mode := range []hidden.Mode{hidden.ModeConjunctive, hidden.ModeRanked} {
+		db := hidden.New(tab, tk, k, rank, mode)
+		for _, q := range queries {
+			got, err := db.Search(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceSearch(tab, tk, rank, k, mode, q)
+			if g := recordIDs(got); !reflect.DeepEqual(g, want) {
+				t.Fatalf("mode %d, k=%d, %d records, query %v: got IDs %v, want %v",
+					mode, k, tab.Len(), q, g, want)
+			}
+		}
+	}
+}
+
+// TestSearchMatchesReference pins the exact output of Search — membership,
+// order and the k-cut — against the brute-force reference, in both modes,
+// on random tables with many score ties, keywords absent from H, and
+// match counts on both sides of k.
+func TestSearchMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(2024)
+	for trial := 0; trial < 300; trial++ {
+		tab := refTable(rng)
+		k := 1 + rng.Intn(8)
+		queries := make([]deepweb.Query, 10)
+		for i := range queries {
+			queries[i] = refQuery(rng)
+		}
+		checkAgainstReference(t, tab, k, queries)
+	}
+}
+
+// FuzzHiddenSearch drives the reference comparison from a seed (table and
+// k) and a free-form query string, which is tokenized into a valid query.
+func FuzzHiddenSearch(f *testing.F) {
+	f.Add(uint64(1), "aa")
+	f.Add(uint64(2), "bb cc")
+	f.Add(uint64(3), "aa dd zx")
+	f.Add(uint64(4), "cc dd ee ff")
+	f.Add(uint64(5), "zy")
+	f.Fuzz(func(t *testing.T, seed uint64, query string) {
+		q := deepweb.Query(tokenize.New().NormalizeQuery(query))
+		if deepweb.Validate(q) != nil {
+			return
+		}
+		rng := stats.NewRNG(seed)
+		checkAgainstReference(t, refTable(rng), 1+rng.Intn(8), []deepweb.Query{q})
+	})
+}
+
+// TestSearchConcurrent: Search keeps no state between calls, so searches
+// from many goroutines at once (dispatcher workers, HTTP handlers) must
+// each return exactly what a lone search returns. Run under -race.
+func TestSearchConcurrent(t *testing.T) {
+	rng := stats.NewRNG(77)
+	tab := refTable(rng)
+	for tab.Len() < 40 {
+		tab = refTable(rng)
+	}
+	queries := make([]deepweb.Query, 64)
+	for i := range queries {
+		queries[i] = refQuery(rng)
+	}
+	for _, mode := range []hidden.Mode{hidden.ModeConjunctive, hidden.ModeRanked} {
+		db := hidden.New(tab, tokenize.New(), 3, hidden.RankByNumericColumn(1), mode)
+		want := make([][]int, len(queries))
+		for i, q := range queries {
+			res, err := db.Search(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = recordIDs(res)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range queries {
+					j := (i + g) % len(queries)
+					res, err := db.Search(queries[j])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := recordIDs(res); !reflect.DeepEqual(got, want[j]) {
+						t.Errorf("mode %d, goroutine %d, query %v: got %v, want %v", mode, g, queries[j], got, want[j])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
 }

@@ -5,11 +5,11 @@ import (
 	"smartcrawl/internal/tokenize"
 )
 
-// CompressedInvertedIDs is CompressedInverted on the interned-token
-// kernel, restructured for the out-of-core corpus path: every posting
-// payload lives in ONE shared d-gap block buffer (see block.go) indexed
-// by per-token skip-entry ranges, so the whole index is three flat arrays
-// plus one byte slice. The same structure backs both the heap-allocated
+// CompressedInvertedIDs is InvertedIDs with block d-gap posting storage,
+// laid out for the out-of-core corpus path: every posting payload lives
+// in ONE shared block buffer (see block.go) indexed by per-token
+// skip-entry ranges, so the whole index is three flat arrays plus one
+// byte slice. The same structure backs both the heap-allocated
 // build and the memory-mapped corpus file — OpenCorpus points data at the
 // mapped region and the lookup kernels below run unchanged over it.
 //
@@ -132,25 +132,28 @@ func (inv *CompressedInvertedIDs) Lookup(q []uint32) []uint32 {
 // when capacity allows. The returned slice aliases scratch; callers that
 // retain it must copy. Safe for concurrent use (cursor state is per call).
 func (inv *CompressedInvertedIDs) LookupInto(q []uint32, scratch []uint32) []uint32 {
-	return inv.intersect(q, scratch[:0], false)
+	out, _ := inv.intersect(q, scratch[:0], false)
+	return out
 }
 
 // Count returns |q(D)| for the token-ID query q without materializing the
-// intersection.
+// intersection: matches are counted, never appended, so the allocations
+// do not grow with the match count.
 func (inv *CompressedInvertedIDs) Count(q []uint32) int {
 	if len(q) == 1 {
 		return inv.DocFreq(q[0])
 	}
-	return len(inv.intersect(q, nil, true))
+	_, n := inv.intersect(q, nil, true)
+	return n
 }
 
 // intersect drives the conjunctive merge: iterate the rarest list block
 // by block and probe every candidate against the other lists' cursors,
-// skipping undecoded blocks via the skip entries. countOnly reuses one
-// scratch element so Count allocates no output.
-func (inv *CompressedInvertedIDs) intersect(q []uint32, dst []uint32, countOnly bool) []uint32 {
+// skipping undecoded blocks via the skip entries. It returns dst with the
+// matches appended (none when countOnly) and the match count.
+func (inv *CompressedInvertedIDs) intersect(q []uint32, dst []uint32, countOnly bool) ([]uint32, int) {
 	if len(q) == 0 {
-		return nil
+		return nil, 0
 	}
 	var curs [8]compCursor
 	lists := curs[:0]
@@ -160,7 +163,7 @@ func (inv *CompressedInvertedIDs) intersect(q []uint32, dst []uint32, countOnly 
 	for _, id := range q {
 		var c compCursor
 		if !c.init(inv, id) {
-			return nil
+			return nil, 0
 		}
 		lists = append(lists, c)
 	}
@@ -174,6 +177,7 @@ func (inv *CompressedInvertedIDs) intersect(q []uint32, dst []uint32, countOnly 
 	rare := &lists[0]
 	others := lists[1:]
 	var blk []uint32
+	n := 0
 outer:
 	for sk := rare.sk; sk < rare.skEnd; sk++ {
 		blk = mustDecodePostingBlock(blk, inv.data, inv.skips[sk])
@@ -190,14 +194,12 @@ outer:
 				}
 			}
 			if matched {
-				if countOnly && len(dst) > 0 {
-					dst[0] = v
-					dst = append(dst, 0)[:len(dst)+1] // count via length, no per-id alloc
-				} else {
+				n++
+				if !countOnly {
 					dst = append(dst, v)
 				}
 			}
 		}
 	}
-	return dst
+	return dst, n
 }

@@ -28,7 +28,7 @@ func corpusFixture(n, vocabSize int, seed uint64) ([]*relational.Record, *tokeni
 		}
 		recs[i] = &relational.Record{ID: i, Values: []string{sb.String()}}
 	}
-	return recs, tk, buildDictFor(recs, tk)
+	return recs, tk, ScanDict(recs, tk)
 }
 
 func allSmallQueries(d *tokenize.Dict, stride int) [][]uint32 {

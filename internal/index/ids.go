@@ -1,3 +1,11 @@
+// Package index implements the indexing machinery of the paper's Section 6.3
+// and Figure 3 on interned token IDs (tokenize.Dict): an inverted index over
+// record documents for computing query frequencies |q(D)| by posting-list
+// intersection (Figure 3(a)), in a plain form (InvertedIDs) and a block
+// d-gap compressed form that also backs the memory-mapped corpus file
+// (CompressedInvertedIDs), and a forward index mapping each record to the
+// pool queries it satisfies (Figure 3(b), ForwardDense), which drives the
+// delta-update mechanism of the selection loop.
 package index
 
 import (
@@ -9,11 +17,36 @@ import (
 	"smartcrawl/internal/tokenize"
 )
 
-// InvertedIDs is the interned-token inverted index: posting lists are
+// minShard is the fewest records worth a shard of its own: sharding
+// overhead beats the gain on small inputs.
+const minShard = 256
+
+// ScanDict builds the frozen dictionary of the records' vocabulary, with
+// token IDs assigned in sorted token order (tokenize.BuildDict over the
+// sorted, deduplicated tokens). The IDs are therefore deterministic and
+// monotone in token order: a sorted keyword list resolves to a sorted ID
+// list. This is the dictionary querypool.Generate scans and a corpus
+// cache stores.
+func ScanDict(recs []*relational.Record, tk *tokenize.Tokenizer) *tokenize.Dict {
+	seen := make(map[string]struct{})
+	for _, r := range recs {
+		for _, w := range r.Tokens(tk) {
+			seen[w] = struct{}{}
+		}
+	}
+	vocab := make([]string, 0, len(seen))
+	for w := range seen {
+		vocab = append(vocab, w)
+	}
+	slices.Sort(vocab)
+	return tokenize.BuildDict(vocab)
+}
+
+// InvertedIDs is the inverted index of Figure 3(a): posting lists are
 // keyed by tokenize.Dict token ID (a dense slice, no hashing) and hold
 // sorted uint32 record IDs. Conjunctive lookups run as sorted-slice
-// merge/galloping intersections — the integer kernel behind the paper's
-// Figure 3(a) — with zero map probes and zero string comparisons.
+// merge/galloping intersections with zero map probes and zero string
+// comparisons.
 //
 // Tokens outside the dictionary are not indexed; they cannot appear in a
 // pool query (see tokenize.Dict), so lookups are unaffected.
@@ -23,8 +56,12 @@ type InvertedIDs struct {
 }
 
 // BuildInvertedIDs indexes the records' tokens under dictionary d. Record
-// IDs must be non-negative; lists come out sorted because IDs are sorted
-// defensively after the build, exactly as BuildInvertedN does.
+// IDs must be non-negative. With workers > 1 the record slice is split
+// into contiguous chunks, each worker indexes its chunk into private
+// posting lists, and the shards are merged in chunk order; tiny inputs
+// build sequentially. Every list is sorted after the build, so records
+// may arrive in any ID order and the layout is identical for any worker
+// count.
 func BuildInvertedIDs(recs []*relational.Record, tk *tokenize.Tokenizer, d *tokenize.Dict, workers int) *InvertedIDs {
 	inv := &InvertedIDs{postings: make([][]uint32, d.Len()), size: len(recs)}
 	if workers > len(recs)/minShard {
@@ -76,9 +113,10 @@ func BuildInvertedIDs(recs []*relational.Record, tk *tokenize.Tokenizer, d *toke
 	return inv
 }
 
-// BuildInvertedIDsObs is BuildInvertedIDs with build observability,
-// mirroring BuildInvertedNObs: shard count and wall-clock land in the
-// sink under phase "index_build". A nil sink is exactly BuildInvertedIDs.
+// BuildInvertedIDsObs is BuildInvertedIDs with build observability: the
+// shard count actually used (after the min-shard clamp) and the build
+// wall-clock land in the sink under phase "index_build". A nil sink is
+// exactly BuildInvertedIDs.
 func BuildInvertedIDsObs(recs []*relational.Record, tk *tokenize.Tokenizer, d *tokenize.Dict, workers int, o *obs.Obs) *InvertedIDs {
 	if o != nil {
 		defer o.Phase("index_build")()
@@ -135,9 +173,10 @@ func (inv *InvertedIDs) Postings(id uint32) []uint32 {
 	return inv.postings[id]
 }
 
-// Lookup returns the sorted record IDs satisfying the conjunctive query q
-// (token IDs) — Inverted.Lookup on the integer kernel. The result is
-// freshly allocated and safe to retain.
+// Lookup returns the sorted IDs of records satisfying the conjunctive
+// token-ID query q — the paper's q(D) computed as ∩_{w∈q} I(w). An empty
+// query matches nothing, and a token without postings short-circuits to
+// nil. The result is freshly allocated and safe to retain.
 func (inv *InvertedIDs) Lookup(q []uint32) []uint32 {
 	return inv.LookupInto(q, nil)
 }
@@ -208,7 +247,7 @@ outer:
 
 // IntersectU32 appends the intersection of sorted slices a and b to dst
 // and returns it. When the lengths are lopsided it gallops (binary
-// search) over the longer list, mirroring the string index's intersect.
+// search) over the longer list.
 // dst may alias a (the in-place re-intersection pattern); it must not
 // alias b.
 func IntersectU32(dst, a, b []uint32) []uint32 {

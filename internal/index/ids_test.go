@@ -11,28 +11,11 @@ import (
 	"smartcrawl/internal/tokenize"
 )
 
-// buildDictFor builds a frozen dictionary over the records' vocabulary,
-// exactly as querypool.Generate does (sorted corpus scan).
-func buildDictFor(recs []*relational.Record, tk *tokenize.Tokenizer) *tokenize.Dict {
-	seen := map[string]struct{}{}
-	for _, r := range recs {
-		for _, w := range r.Tokens(tk) {
-			seen[w] = struct{}{}
-		}
-	}
-	vocab := make([]string, 0, len(seen))
-	for w := range seen {
-		vocab = append(vocab, w)
-	}
-	sort.Strings(vocab)
-	return tokenize.BuildDict(vocab)
-}
-
 // The core interning equivalence property: on random corpora, the
-// ID-keyed indexes (plain and compressed) agree with the string index on
-// every Lookup and Count — including queries with out-of-corpus keywords,
-// which resolve to "no ID" and must return empty, matching the string
-// index's miss.
+// ID-keyed indexes (plain and compressed) agree with a brute-force scan of
+// every record's token set on every Lookup and Count — including queries
+// with out-of-corpus keywords, which resolve to "no ID" and must match
+// nothing.
 func TestInvertedIDsMatchesStringIndex(t *testing.T) {
 	tk := tokenize.New()
 	rng := stats.NewRNG(41)
@@ -49,8 +32,7 @@ func TestInvertedIDsMatchesStringIndex(t *testing.T) {
 			}
 			recs[i] = &relational.Record{ID: i, Values: []string{doc}}
 		}
-		dict := buildDictFor(recs, tk)
-		ref := BuildInverted(recs, tk)
+		dict := ScanDict(recs, tk)
 		ids := BuildInvertedIDs(recs, tk, dict, 1)
 		comp := BuildCompressedInvertedIDs(recs, tk, dict)
 
@@ -64,14 +46,14 @@ func TestInvertedIDsMatchesStringIndex(t *testing.T) {
 					q[j] = vocab[rng.Intn(len(vocab))]
 				}
 			}
-			want := ref.Lookup(q)
+			want := bruteForceLookup(recs, tk, q)
 
 			qids, ok := dict.Resolve(q)
 			if !ok {
-				// Some keyword has no ID: the string index must agree
-				// that nothing matches.
+				// Some keyword has no ID: the scan must agree that
+				// nothing matches.
 				if len(want) != 0 {
-					t.Fatalf("trial %d: Resolve(%v) failed but string Lookup found %v", trial, q, want)
+					t.Fatalf("trial %d: Resolve(%v) failed but the scan found %v", trial, q, want)
 				}
 				continue
 			}
@@ -115,7 +97,7 @@ func TestBuildInvertedIDsParallelMatchesSequential(t *testing.T) {
 		doc := vocab[rng.Intn(len(vocab))] + " " + vocab[rng.Intn(len(vocab))]
 		recs[i] = &relational.Record{ID: i, Values: []string{doc}}
 	}
-	dict := buildDictFor(recs, tk)
+	dict := ScanDict(recs, tk)
 	seq := BuildInvertedIDs(recs, tk, dict, 1)
 	for _, workers := range []int{2, 4, 16} {
 		par := BuildInvertedIDs(recs, tk, dict, workers)
@@ -185,7 +167,7 @@ func TestIntersectU32DstAliasesA(t *testing.T) {
 func TestLookupIntoReusesScratch(t *testing.T) {
 	tk := tokenize.New()
 	recs := figure1Local()
-	dict := buildDictFor(recs, tk)
+	dict := ScanDict(recs, tk)
 	inv := BuildInvertedIDs(recs, tk, dict, 1)
 
 	q1, _ := dict.Resolve([]string{"noodle", "house"})

@@ -3,9 +3,9 @@ package index
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"smartcrawl/internal/relational"
 	"smartcrawl/internal/stats"
@@ -27,9 +27,16 @@ func figure1Local() []*relational.Record {
 	return recs
 }
 
+// figure1Index indexes the Figure 1 records under their own dictionary.
+func figure1Index(tk *tokenize.Tokenizer) (*InvertedIDs, *tokenize.Dict) {
+	recs := figure1Local()
+	dict := ScanDict(recs, tk)
+	return BuildInvertedIDs(recs, tk, dict, 1), dict
+}
+
 func TestLookupConjunctive(t *testing.T) {
 	tk := tokenize.New()
-	inv := BuildInverted(figure1Local(), tk)
+	inv, dict := figure1Index(tk)
 
 	cases := []struct {
 		q    []string
@@ -45,10 +52,18 @@ func TestLookupConjunctive(t *testing.T) {
 		{nil, nil},
 	}
 	for _, c := range cases {
-		if got := inv.Lookup(c.q); !reflect.DeepEqual(got, c.want) {
+		qids, ok := dict.Resolve(c.q)
+		if !ok {
+			// A keyword outside the vocabulary matches nothing.
+			if c.want != nil {
+				t.Errorf("Resolve(%v) failed, want matches %v", c.q, c.want)
+			}
+			continue
+		}
+		if got := inv.Lookup(qids); !u32Equal(got, c.want) {
 			t.Errorf("Lookup(%v) = %v, want %v", c.q, got, c.want)
 		}
-		if got := inv.Count(c.q); got != len(c.want) {
+		if got := inv.Count(qids); got != len(c.want) {
 			t.Errorf("Count(%v) = %d, want %d", c.q, got, len(c.want))
 		}
 	}
@@ -56,19 +71,20 @@ func TestLookupConjunctive(t *testing.T) {
 
 func TestDocFreqAndVocabulary(t *testing.T) {
 	tk := tokenize.New()
-	inv := BuildInverted(figure1Local(), tk)
+	inv, dict := figure1Index(tk)
 	if inv.Size() != 4 {
 		t.Fatalf("Size = %d", inv.Size())
 	}
-	if got := inv.DocFreq("house"); got != 4 {
+	house, _ := dict.ID("house")
+	if got := inv.DocFreq(house); got != 4 {
 		t.Fatalf("DocFreq(house) = %d", got)
 	}
-	if got := inv.DocFreq("nope"); got != 0 {
-		t.Fatalf("DocFreq(nope) = %d", got)
+	if got := inv.DocFreq(uint32(dict.Len())); got != 0 {
+		t.Fatalf("DocFreq(unknown ID) = %d", got)
 	}
 	// vocabulary: thai, noodle, house, saigon, express
-	if got := inv.VocabularySize(); got != 5 {
-		t.Fatalf("VocabularySize = %d", got)
+	if got := dict.Len(); got != 5 {
+		t.Fatalf("vocabulary size = %d", got)
 	}
 }
 
@@ -80,26 +96,36 @@ func TestPostingsSortedUnique(t *testing.T) {
 		{ID: 1, Values: []string{"alpha"}},
 		{ID: 3, Values: []string{"beta alpha"}},
 	}
-	inv := BuildInverted(recs, tk)
-	p := inv.Postings("alpha")
-	if !reflect.DeepEqual(p, []int{1, 3, 5}) {
+	dict := ScanDict(recs, tk)
+	inv := BuildInvertedIDs(recs, tk, dict, 1)
+	alpha, _ := dict.ID("alpha")
+	if p := inv.Postings(alpha); !reflect.DeepEqual(p, []uint32{1, 3, 5}) {
 		t.Fatalf("postings = %v", p)
+	}
+	if got := inv.DocFreq(alpha); got != 3 {
+		t.Fatalf("DocFreq(alpha) = %d", got)
 	}
 }
 
-func TestIntersectGalloping(t *testing.T) {
-	// Force the galloping path: tiny a, big b.
-	a := []int{3, 500, 999}
-	b := make([]int, 1000)
-	for i := range b {
-		b[i] = i
+// bruteForceLookup is the reference for every conjunctive lookup: the
+// sorted IDs of records whose token set holds every keyword of q.
+func bruteForceLookup(recs []*relational.Record, tk *tokenize.Tokenizer, q []string) []int {
+	var want []int
+	for _, r := range recs {
+		set := tk.Set(r.Document())
+		ok := true
+		for _, w := range q {
+			if _, in := set[w]; !in {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			want = append(want, r.ID)
+		}
 	}
-	if got := intersect(a, b); !reflect.DeepEqual(got, a) {
-		t.Fatalf("intersect = %v", got)
-	}
-	if got := intersect(b, a); !reflect.DeepEqual(got, a) {
-		t.Fatalf("intersect reversed = %v", got)
-	}
+	sort.Ints(want)
+	return want
 }
 
 // Property: Lookup agrees with a brute-force scan over random corpora.
@@ -119,7 +145,8 @@ func TestLookupMatchesBruteForce(t *testing.T) {
 			}
 			recs[i] = &relational.Record{ID: i, Values: []string{doc}}
 		}
-		inv := BuildInverted(recs, tk)
+		dict := ScanDict(recs, tk)
+		inv := BuildInvertedIDs(recs, tk, dict, 1)
 
 		qlen := 1 + rng.Intn(3)
 		q := make([]string, qlen)
@@ -127,110 +154,36 @@ func TestLookupMatchesBruteForce(t *testing.T) {
 			q[j] = vocab[rng.Intn(len(vocab))]
 		}
 
-		var want []int
-		for _, r := range recs {
-			set := tk.Set(r.Document())
-			ok := true
-			for _, w := range q {
-				if _, in := set[w]; !in {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				want = append(want, r.ID)
-			}
+		want := bruteForceLookup(recs, tk, q)
+		var got []uint32
+		if qids, ok := dict.Resolve(q); ok {
+			got = inv.Lookup(qids)
 		}
-		sort.Ints(want)
-		got := inv.Lookup(q)
-		if !reflect.DeepEqual(got, want) {
+		if !u32Equal(got, want) {
 			t.Fatalf("trial %d: Lookup(%v) = %v, want %v", trial, q, got, want)
 		}
 	}
 }
 
-// Property: intersect is commutative and its result is sorted and a subset
-// of both inputs.
-func TestIntersectProperties(t *testing.T) {
-	f := func(aRaw, bRaw []uint8) bool {
-		a := sortedUnique(aRaw)
-		b := sortedUnique(bRaw)
-		ab := intersect(a, b)
-		ba := intersect(b, a)
-		if !reflect.DeepEqual(ab, ba) {
-			return false
-		}
-		inA := toSet(a)
-		inB := toSet(b)
-		for i, v := range ab {
-			if i > 0 && ab[i-1] >= v {
-				return false
-			}
-			if !inA[v] || !inB[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func sortedUnique(raw []uint8) []int {
-	m := map[int]bool{}
-	for _, v := range raw {
-		m[int(v)] = true
-	}
-	out := make([]int, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func toSet(s []int) map[int]bool {
-	m := make(map[int]bool, len(s))
-	for _, v := range s {
-		m[v] = true
-	}
-	return m
-}
-
-func TestForwardIndex(t *testing.T) {
-	f := NewForward()
-	f.Add(3, 10)
-	f.Add(3, 11)
-	f.Add(5, 10)
-	if got := f.List(3); !reflect.DeepEqual(got, []int{10, 11}) {
-		t.Fatalf("List(3) = %v", got)
-	}
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d", f.Len())
-	}
-	if f.TotalEntries() != 3 {
-		t.Fatalf("TotalEntries = %d", f.TotalEntries())
-	}
-	if got := f.Remove(3); !reflect.DeepEqual(got, []int{10, 11}) {
-		t.Fatalf("Remove(3) = %v", got)
-	}
-	if f.List(3) != nil {
-		t.Fatal("List after Remove should be nil")
-	}
-	if f.Len() != 1 {
-		t.Fatalf("Len after Remove = %d", f.Len())
-	}
-	if f.Remove(99) != nil {
-		t.Fatal("Remove of unknown record should be nil")
-	}
-}
-
 func BenchmarkLookup(b *testing.B) {
 	tk := tokenize.New()
+	recs := zipfRecords(20000)
+	dict := ScanDict(recs, tk)
+	inv := BuildInvertedIDs(recs, tk, dict, 1)
+	q, _ := dict.Resolve([]string{"w0", "w3"})
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		inv.Lookup(q)
+	}
+}
+
+// zipfRecords builds n records of eight Zipf-distributed keywords each
+// over a 2000-word vocabulary, the lookup benchmarks' corpus.
+func zipfRecords(n int) []*relational.Record {
 	rng := stats.NewRNG(1)
 	zipf := stats.NewZipf(rng, 1.0, 2000)
-	recs := make([]*relational.Record, 20000)
+	recs := make([]*relational.Record, n)
 	for i := range recs {
 		doc := ""
 		for j := 0; j < 8; j++ {
@@ -238,13 +191,7 @@ func BenchmarkLookup(b *testing.B) {
 		}
 		recs[i] = &relational.Record{ID: i, Values: []string{doc}}
 	}
-	inv := BuildInverted(recs, tk)
-	q := []string{"w0", "w3"}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		inv.Lookup(q)
-	}
+	return recs
 }
 
 // syntheticRecords builds n records with Zipf-ish random keyword documents,
@@ -270,18 +217,26 @@ func syntheticRecords(n int) []*relational.Record {
 	return recs
 }
 
-// TestBuildInvertedNMatchesSequential: the sharded build must produce a
-// postings map byte-identical to the sequential one for any worker count,
-// including counts the clamp reduces (tiny input, absurd workers).
+// TestBuildInvertedNMatchesSequential: the sharded build must produce
+// posting lists identical to the sequential one for any worker count,
+// including counts the clamp reduces (tiny input, absurd workers). The
+// records arrive in shuffled ID order, so the sequential postings must
+// come out sorted too.
 func TestBuildInvertedNMatchesSequential(t *testing.T) {
 	tk := tokenize.New()
 	recs := syntheticRecords(2048)
-	ref := BuildInverted(recs, tk)
+	dict := ScanDict(recs, tk)
+	ref := BuildInvertedIDs(recs, tk, dict, 1)
+	for id, p := range ref.postings {
+		if !slices.IsSorted(p) {
+			t.Fatalf("token %d: sequential postings not sorted: %v", id, p)
+		}
+	}
 	for _, workers := range []int{2, 4, 8, 64} {
-		got := BuildInvertedN(recs, tk, workers)
-		if got.Size() != ref.Size() || got.VocabularySize() != ref.VocabularySize() {
+		got := BuildInvertedIDs(recs, tk, dict, workers)
+		if got.Size() != ref.Size() || len(got.postings) != len(ref.postings) {
 			t.Fatalf("workers=%d: size/vocab %d/%d, want %d/%d",
-				workers, got.Size(), got.VocabularySize(), ref.Size(), ref.VocabularySize())
+				workers, got.Size(), len(got.postings), ref.Size(), len(ref.postings))
 		}
 		if !reflect.DeepEqual(got.postings, ref.postings) {
 			t.Fatalf("workers=%d: postings diverged from sequential build", workers)
@@ -289,7 +244,8 @@ func TestBuildInvertedNMatchesSequential(t *testing.T) {
 	}
 	// Tiny input: clamp forces the sequential path; must still be correct.
 	small := figure1Local()
-	if !reflect.DeepEqual(BuildInvertedN(small, tk, 8).postings, BuildInverted(small, tk).postings) {
+	sd := ScanDict(small, tk)
+	if !reflect.DeepEqual(BuildInvertedIDs(small, tk, sd, 8).postings, BuildInvertedIDs(small, tk, sd, 1).postings) {
 		t.Fatal("clamped parallel build diverged on tiny input")
 	}
 }

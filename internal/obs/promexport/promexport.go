@@ -29,10 +29,10 @@ package promexport
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -302,105 +302,131 @@ func sortedClassKeys(m map[string]int64) []string {
 // format: families sorted by name, `# HELP`/`# TYPE` once per family,
 // samples sorted by label signature, histograms as cumulative
 // `_bucket{le=…}` lines plus `_sum`/`_count`. Output is deterministic
-// for a fixed collection — a golden test pins the bytes.
+// for a fixed collection — a golden test pins the bytes. The exposition
+// is assembled in one buffer and written to w in a single Write.
 func (c *Collection) WriteText(w io.Writer) error {
 	names := make([]string, 0, len(c.byFamily))
 	for name := range c.byFamily {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var b []byte
 	for _, name := range names {
 		d := descByName[name]
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-			name, escapeHelp(d.Help), name, d.Kind); err != nil {
-			return err
+		b = append(b, "# HELP "...)
+		b = append(b, name...)
+		b = append(b, ' ')
+		b = append(b, escapeHelp(d.Help)...)
+		b = append(b, "\n# TYPE "...)
+		b = append(b, name...)
+		b = append(b, ' ')
+		b = append(b, d.Kind...)
+		b = append(b, '\n')
+		// Each sample's label signature is rendered once: it is both the
+		// sort key and the rendered label set.
+		samples := c.byFamily[name]
+		sigs := make([]string, len(samples))
+		order := make([]int, len(samples))
+		for i := range samples {
+			sigs[i] = string(appendLabels(nil, samples[i].labels))
+			order[i] = i
 		}
-		samples := append([]sample(nil), c.byFamily[name]...)
-		sort.SliceStable(samples, func(i, j int) bool {
-			return labelSig(samples[i].labels) < labelSig(samples[j].labels)
-		})
-		for _, s := range samples {
-			var err error
-			if s.hist != nil {
-				err = writeHist(w, name, s.labels, s.hist)
-			} else {
-				_, err = fmt.Fprintf(w, "%s%s %s\n", name, renderLabels(s.labels), formatValue(s.value))
+		slices.SortStableFunc(order, func(i, j int) int { return strings.Compare(sigs[i], sigs[j]) })
+		for _, i := range order {
+			if hs := samples[i].hist; hs != nil {
+				b = appendHist(b, name, samples[i].labels, sigs[i], hs)
+				continue
 			}
-			if err != nil {
-				return err
-			}
+			b = append(b, name...)
+			b = append(b, sigs[i]...)
+			b = append(b, ' ')
+			b = appendValue(b, samples[i].value)
+			b = append(b, '\n')
 		}
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
 
-// writeHist expands one histogram sample: cumulative buckets by upper
-// bound in seconds, the +Inf bucket, exact sum, and count.
-func writeHist(w io.Writer, name string, labels []Label, hs *obs.HistogramSnapshot) error {
+// appendHist expands one histogram sample: cumulative buckets by upper
+// bound in seconds, the +Inf bucket, exact sum, and count. sig is the
+// rendered labels of the sample.
+func appendHist(b []byte, name string, labels []Label, sig string, hs *obs.HistogramSnapshot) []byte {
+	bucketLabels := append(append(make([]Label, 0, len(labels)+1), labels...), Label{"le", ""})
 	var cum int64
-	for i, b := range hs.Buckets {
-		cum += b
+	for i, n := range hs.Buckets {
+		cum += n
 		le := "+Inf"
 		if i < len(hs.Bounds) {
 			le = formatValue(hs.Bounds[i].Seconds())
 		}
-		bucketLabels := append(append([]Label(nil), labels...), Label{"le", le})
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(bucketLabels), cum); err != nil {
-			return err
-		}
+		bucketLabels[len(labels)].Value = le
+		b = append(b, name...)
+		b = append(b, "_bucket"...)
+		b = appendLabels(b, bucketLabels)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, cum, 10)
+		b = append(b, '\n')
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, renderLabels(labels),
-		formatValue(hs.Sum.Seconds())); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(labels), hs.Count)
-	return err
+	b = append(b, name...)
+	b = append(b, "_sum"...)
+	b = append(b, sig...)
+	b = append(b, ' ')
+	b = appendValue(b, hs.Sum.Seconds())
+	b = append(b, '\n')
+	b = append(b, name...)
+	b = append(b, "_count"...)
+	b = append(b, sig...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, hs.Count, 10)
+	return append(b, '\n')
 }
 
-// renderLabels formats {a="x",b="y"} with label names sorted; empty
-// label sets render as nothing.
-func renderLabels(labels []Label) string {
+// appendLabels appends {a="x",b="y"} with label names sorted; an empty
+// label set appends nothing.
+func appendLabels(b []byte, labels []Label) []byte {
 	if len(labels) == 0 {
-		return ""
+		return b
 	}
-	ls := append([]Label(nil), labels...)
-	sort.SliceStable(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
-	var b strings.Builder
-	b.WriteByte('{')
+	var arr [8]Label // sort a copy, on the stack for up to 8 labels
+	ls := append(arr[:0], labels...)
+	slices.SortStableFunc(ls, func(x, y Label) int { return strings.Compare(x.Name, y.Name) })
+	b = append(b, '{')
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
+		b = append(b, l.Name...)
+		b = append(b, `="`...)
+		b = append(b, escapeLabel(l.Value)...)
+		b = append(b, '"')
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }
-
-// labelSig is the sort key of a sample within its family.
-func labelSig(labels []Label) string { return renderLabels(labels) }
 
 // formatValue renders a sample value: integral values as integers (the
 // common case — counters), everything else in shortest float form.
-func formatValue(v float64) string {
+func formatValue(v float64) string { return string(appendValue(nil, v)) }
+
+// appendValue appends v as formatValue renders it.
+func appendValue(b []byte, v float64) []byte {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(b, int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(s)
-}
+// The escapers are built once: a Replacer compiles its lookup table on
+// first use, and that table dominated a scrape's allocations when it was
+// rebuilt per call. A Replacer is safe for concurrent use.
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-func escapeHelp(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
-}
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
+
+func escapeHelp(s string) string { return helpEscaper.Replace(s) }
 
 // Handler serves GET /metrics: collect invokes the caller's gatherers
 // into a fresh Collection per scrape, and the rendered exposition is

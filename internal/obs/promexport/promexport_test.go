@@ -288,3 +288,21 @@ func TestAddUnknownPanics(t *testing.T) {
 	}()
 	NewCollection().Add("smartcrawl_not_a_metric_total", 1)
 }
+
+// TestEscape pins the exposition escapes and that escaping a string with
+// nothing to escape allocates nothing: it runs on every family's help
+// text and every label value of every scrape, and rebuilding the
+// replacer per call once made up nearly all of a scrape's garbage.
+func TestEscape(t *testing.T) {
+	if got, want := escapeLabel("a\"b\\c\nd"), `a\"b\\c\nd`; got != want {
+		t.Errorf("escapeLabel = %q, want %q", got, want)
+	}
+	if got, want := escapeHelp("a\"b\\c\nd"), `a"b\\c\nd`; got != want {
+		t.Errorf("escapeHelp = %q, want %q", got, want)
+	}
+	for name, escape := range map[string]func(string) string{"escapeLabel": escapeLabel, "escapeHelp": escapeHelp} {
+		if n := testing.AllocsPerRun(100, func() { escape("plain help text") }); n != 0 {
+			t.Errorf("%s allocated %v times per call with nothing to escape, want 0", name, n)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/freqmine"
+	"smartcrawl/internal/index"
 	"smartcrawl/internal/relational"
 	"smartcrawl/internal/stats"
 	"smartcrawl/internal/tokenize"
@@ -157,11 +158,14 @@ func Generate(local *relational.Table, tk *tokenize.Tokenizer, cfg Config) *Pool
 	// The corpus scan comes first so the frozen dictionary exists before
 	// any query is added: every pool keyword — naive queries draw theirs
 	// from record documents, mined queries from the transaction items —
-	// is in the vocabulary, so resolution below can never fail. A
-	// pre-built dictionary (corpus cache) skips the scan.
+	// is in the vocabulary, so resolution below can never fail. Token IDs
+	// follow sorted token order (index.ScanDict), so generation is
+	// deterministic and mined itemset items ARE dictionary IDs. A
+	// pre-built dictionary (corpus cache) stores exactly this dictionary
+	// and skips the scan.
 	dict := cfg.Dict
 	if dict == nil {
-		dict = scanDict(local, tk)
+		dict = index.ScanDict(local.Records, tk)
 	}
 
 	// Sampled mining: transactions come from a reservoir sample and the
@@ -249,26 +253,6 @@ func Generate(local *relational.Table, tk *tokenize.Tokenizer, cfg Config) *Pool
 		add(deepweb.Query(words), false, -1)
 	}
 	return p
-}
-
-// scanDict builds the frozen corpus dictionary: token IDs are assigned in
-// sorted token order (tokenize.BuildDict over the sorted vocabulary), so
-// generation is deterministic and mined itemset items ARE dictionary IDs.
-// A corpus cache stores exactly this dictionary, which is why Config.Dict
-// can stand in for the scan.
-func scanDict(local *relational.Table, tk *tokenize.Tokenizer) *tokenize.Dict {
-	seen := make(map[string]struct{})
-	for _, r := range local.Records {
-		for _, w := range r.Tokens(tk) {
-			seen[w] = struct{}{}
-		}
-	}
-	vocab := make([]string, 0, len(seen))
-	for w := range seen {
-		vocab = append(vocab, w)
-	}
-	sort.Strings(vocab)
-	return tokenize.BuildDict(vocab)
 }
 
 // transactionsUnder maps records to integer-item transactions under an

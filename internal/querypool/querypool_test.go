@@ -124,11 +124,11 @@ func TestGenerateInvariants(t *testing.T) {
 	}
 	const minSup = 3
 	p := Generate(local, tk, Config{MinSupport: minSup, MaxQueryLen: 3})
-	inv := index.BuildInverted(local.Records, tk)
+	inv := index.BuildInvertedIDs(local.Records, tk, p.Dict, 1)
 
 	naiveCount := 0
 	for _, q := range p.Queries {
-		freq := inv.Count(q.Keywords)
+		freq := inv.Count(q.IDs)
 		if q.Naive {
 			naiveCount++
 			if freq < 1 {
@@ -200,7 +200,7 @@ func TestGenerateSampledExactSupports(t *testing.T) {
 	tk := tokenize.New()
 	local := makeZipfTable(2000, 41)
 	const minSup = 10
-	dict := scanDict(local, tk)
+	dict := index.ScanDict(local.Records, tk)
 	inv := index.BuildCompressedInvertedIDs(local.Records, tk, dict)
 	cfg := Config{
 		MinSupport: minSup, MaxQueryLen: 3,
@@ -260,7 +260,7 @@ func TestGenerateWithPrebuiltDict(t *testing.T) {
 	tk := tokenize.New()
 	local := makeZipfTable(500, 13)
 	scanned := Generate(local, tk, Config{MinSupport: 3, MaxQueryLen: 3})
-	prebuilt := Generate(local, tk, Config{MinSupport: 3, MaxQueryLen: 3, Dict: scanDict(local, tk)})
+	prebuilt := Generate(local, tk, Config{MinSupport: 3, MaxQueryLen: 3, Dict: index.ScanDict(local.Records, tk)})
 	if scanned.Len() != prebuilt.Len() {
 		t.Fatalf("pool sizes differ: %d vs %d", scanned.Len(), prebuilt.Len())
 	}

@@ -11,7 +11,7 @@ import "slices"
 // A Dict is built once from the corpus scan and then frozen: IDs never
 // change afterwards, so resolved ID slices stay valid for the lifetime of
 // the crawl. When the dictionary is built from a lexicographically sorted
-// vocabulary (BuildDict, or querypool.Generate's corpus scan), token IDs
+// vocabulary (BuildDict, or the corpus scan index.ScanDict), token IDs
 // are monotone in token order — a sorted keyword list resolves to a
 // sorted ID list for free; Resolve sorts defensively anyway so the
 // invariant holds for any insertion order.

@@ -7,9 +7,7 @@ package smartcrawl_test
 
 import (
 	"io"
-	"runtime"
 	"testing"
-	"time"
 
 	"smartcrawl"
 	"smartcrawl/internal/dataset"
@@ -114,39 +112,7 @@ func TestObsOverheadUnderTwoPercent(t *testing.T) {
 	u.crawl(t, nil)
 	u.crawl(t, smartcrawl.NewObs())
 
-	// A shared CI machine wobbles single timings by several percent, so a
-	// one-shot comparison would flake in both directions. Each attempt
-	// compares interleaved min-of-10 timings against the budget — 2%
-	// relative plus 3ms absolute for timer granularity — and up to three
-	// attempts may run. A real regression shifts every attempt past the
-	// budget; noise does not survive three.
-	const rounds = 10
-	var lastOff, lastOn time.Duration
-	for attempt := 0; attempt < 3; attempt++ {
-		minOff, minOn := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < rounds; i++ {
-			runtime.GC()
-			start := time.Now()
-			u.crawl(t, nil)
-			if d := time.Since(start); d < minOff {
-				minOff = d
-			}
-			runtime.GC()
-			start = time.Now()
-			u.crawl(t, smartcrawl.NewObs())
-			if d := time.Since(start); d < minOn {
-				minOn = d
-			}
-		}
-		lastOff, lastOn = minOff, minOn
-		if minOn <= minOff+minOff/50+3*time.Millisecond {
-			t.Logf("obs overhead: nil sink min %v, metrics min %v (%.2f%%)",
-				minOff, minOn, 100*(float64(minOn)/float64(minOff)-1))
-			return
-		}
-		t.Logf("attempt %d over budget: nil sink min %v, metrics min %v — retrying",
-			attempt+1, minOff, minOn)
-	}
-	t.Fatalf("metrics overhead too high in all attempts: nil sink min %v, metrics min %v (%.2f%%)",
-		lastOff, lastOn, 100*(float64(lastOn)/float64(lastOff)-1))
+	requireOverheadBudget(t, "obs", "nil sink", "metrics",
+		timed(func() { u.crawl(t, nil) }),
+		timed(func() { u.crawl(t, smartcrawl.NewObs()) }))
 }

@@ -7,7 +7,6 @@ package smartcrawl_test
 
 import (
 	"io"
-	"runtime"
 	"testing"
 	"time"
 
@@ -40,7 +39,7 @@ func BenchmarkPromExport(b *testing.B) {
 // interval, yet still a duty cycle a real deployment could see. The
 // scraped crawl must stay within the standing budget: 2% relative plus
 // 3ms absolute, interleaved min-of-10, up to three attempts (see
-// TestObsOverheadUnderTwoPercent for why min-of-N and retries).
+// requireOverheadBudget for why min-of-N and retries).
 func TestPromExportOverheadUnderTwoPercent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -78,39 +77,11 @@ func TestPromExportOverheadUnderTwoPercent(t *testing.T) {
 		<-done
 		return d
 	}
-	crawlPlain := func() time.Duration {
-		start := time.Now()
-		u.crawl(t, smartcrawl.NewObs())
-		return time.Since(start)
-	}
+	crawlPlain := timed(func() { u.crawl(t, smartcrawl.NewObs()) })
 
 	// Warm both paths before timing.
 	crawlPlain()
 	crawlScraped()
 
-	const rounds = 10
-	var lastOff, lastOn time.Duration
-	for attempt := 0; attempt < 3; attempt++ {
-		minOff, minOn := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < rounds; i++ {
-			runtime.GC()
-			if d := crawlPlain(); d < minOff {
-				minOff = d
-			}
-			runtime.GC()
-			if d := crawlScraped(); d < minOn {
-				minOn = d
-			}
-		}
-		lastOff, lastOn = minOff, minOn
-		if minOn <= minOff+minOff/50+3*time.Millisecond {
-			t.Logf("scrape overhead: unscraped min %v, scraped min %v (%.2f%%)",
-				minOff, minOn, 100*(float64(minOn)/float64(minOff)-1))
-			return
-		}
-		t.Logf("attempt %d over budget: unscraped min %v, scraped min %v — retrying",
-			attempt+1, minOff, minOn)
-	}
-	t.Fatalf("scrape overhead too high in all attempts: unscraped min %v, scraped min %v (%.2f%%)",
-		lastOff, lastOn, 100*(float64(lastOn)/float64(lastOff)-1))
+	requireOverheadBudget(t, "scrape", "unscraped", "scraped", crawlPlain, crawlScraped)
 }
