@@ -138,6 +138,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTokens -fuzztime 30s ./internal/tokenize/
 	$(GO) test -fuzz FuzzPorterStem -fuzztime 30s ./internal/tokenize/
 	$(GO) test -fuzz FuzzLoadResult -fuzztime 30s ./internal/crawler/
+	$(GO) test -fuzz FuzzSnapshotEncoder -fuzztime 30s ./internal/crawler/
 	$(GO) test -fuzz FuzzLoadCSV -fuzztime 30s ./internal/relational/
 	$(GO) test -fuzz FuzzJournalRecover -fuzztime 30s ./internal/durable/
 	$(GO) test -fuzz FuzzParseTrace -fuzztime 30s ./internal/trace/

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
 	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/relational"
@@ -89,48 +88,14 @@ func SaveResult(w io.Writer, res *Result) error {
 // SaveResultSeq is SaveResult carrying the WAL journal sequence number
 // the snapshot is current through: recovery replays only journal records
 // with a larger sequence, which is what makes a crash between snapshot
-// rename and journal truncation harmless. Output is byte-deterministic
-// for a given Result (map-derived sections are sorted).
+// rename and journal truncation harmless. The payload is the JSON of a
+// checkpointFile with the map-derived sections sorted (crawled records by
+// ID, matches by local ID), so output is byte-deterministic for a given
+// Result (stable diffs, content-addressable storage); the wrapper is one
+// line, newline-terminated. A crawl that saves repeatedly keeps one
+// SnapshotEncoder instead, which writes the same bytes.
 func SaveResultSeq(w io.Writer, res *Result, journalSeq uint64) error {
-	cf := checkpointFile{
-		Version:       checkpointVersion,
-		CoveredCount:  res.CoveredCount,
-		QueriesIssued: res.QueriesIssued,
-		Covered:       res.Covered,
-		Resilience:    res.Resilience,
-	}
-	for _, s := range res.Steps {
-		cf.Steps = append(cf.Steps, checkpointStep{
-			Query:             s.Query,
-			EstimatedBenefit:  s.EstimatedBenefit,
-			NewlyCovered:      s.NewlyCovered,
-			CumulativeCovered: s.CumulativeCovered,
-			ResultSize:        s.ResultSize,
-			NewHidden:         s.NewHidden,
-			Iface:             s.Iface,
-		})
-	}
-	for id, r := range res.Crawled {
-		cf.Crawled = append(cf.Crawled, wireRecord{ID: id, Values: r.Values})
-	}
-	for d, h := range res.Matches {
-		cf.Matches = append(cf.Matches, matchPair{Local: d, Hidden: h.ID})
-	}
-	// Sort the map-derived sections so checkpoints are byte-deterministic
-	// (stable diffs, content-addressable storage).
-	sort.Slice(cf.Crawled, func(a, b int) bool { return cf.Crawled[a].ID < cf.Crawled[b].ID })
-	sort.Slice(cf.Matches, func(a, b int) bool { return cf.Matches[a].Local < cf.Matches[b].Local })
-	payload, err := json.Marshal(cf)
-	if err != nil {
-		return fmt.Errorf("crawler: encoding checkpoint: %w", err)
-	}
-	sum := crc32.ChecksumIEEE(payload)
-	return json.NewEncoder(w).Encode(checkpointV2{
-		Version:    checkpointVersion,
-		JournalSeq: journalSeq,
-		CRC32:      &sum,
-		Payload:    payload,
-	})
+	return new(SnapshotEncoder).Encode(w, res, journalSeq)
 }
 
 // LoadResult reads a checkpoint written by SaveResult (v2 or v1).
@@ -149,24 +114,20 @@ func LoadResultSeq(r io.Reader) (*Result, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("crawler: reading checkpoint: %w", err)
 	}
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	// One decode of the wrapper tells the versions apart: a v1 file is
+	// the crawl state itself, so only its version field lands there.
+	var v2 checkpointV2
+	if err := json.Unmarshal(data, &v2); err != nil {
 		return nil, 0, fmt.Errorf("crawler: decoding checkpoint: %w", err)
 	}
 	var cf checkpointFile
 	var seq uint64
-	switch probe.Version {
+	switch v2.Version {
 	case 1:
 		if err := json.Unmarshal(data, &cf); err != nil {
 			return nil, 0, fmt.Errorf("crawler: decoding checkpoint: %w", err)
 		}
 	case checkpointVersion:
-		var v2 checkpointV2
-		if err := json.Unmarshal(data, &v2); err != nil {
-			return nil, 0, fmt.Errorf("crawler: decoding checkpoint: %w", err)
-		}
 		if v2.CRC32 == nil {
 			return nil, 0, fmt.Errorf("crawler: checkpoint v2 missing crc32")
 		}
@@ -182,7 +143,7 @@ func LoadResultSeq(r io.Reader) (*Result, uint64, error) {
 		seq = v2.JournalSeq
 	default:
 		return nil, 0, fmt.Errorf("crawler: checkpoint version %d unsupported (want %d or 1)",
-			probe.Version, checkpointVersion)
+			v2.Version, checkpointVersion)
 	}
 	if err := cf.validate(); err != nil {
 		return nil, 0, err

@@ -2,8 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -382,5 +384,54 @@ func TestParseCrashPoint(t *testing.T) {
 		if _, err := ParseCrashPoint(spec); err == nil {
 			t.Errorf("ParseCrashPoint(%q) succeeded, want error", spec)
 		}
+	}
+}
+
+// TestCompactionAllocsFlat: a compaction encodes only what the crawl
+// added since the previous one, so a compaction after one more step and
+// one more crawled record allocates about as many heap bytes with 20 000
+// records already in the snapshot as with 1 000 (|D| fixed). An encoder
+// that re-encodes the whole state allocates in proportion to it.
+func TestCompactionAllocsFlat(t *testing.T) {
+	const localLen, compactions = 200, 32
+	perCompaction := func(records int) uint64 {
+		s, err := Open(Options{Snapshot: filepath.Join(t.TempDir(), "cp.json")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close(nil)
+		w := newWorld(localLen)
+		for len(w.res.Crawled) < records {
+			step := crawler.Step{Query: q(fmt.Sprintf("bulk%d", len(w.res.Steps))), ResultSize: 50}
+			for i := 0; i < 50; i++ {
+				w.nextID++
+				w.res.Crawled[w.nextID] = &relational.Record{ID: w.nextID, Values: []string{"title", "venue"}}
+				step.NewHidden = append(step.NewHidden, w.nextID)
+			}
+			w.res.QueriesIssued++
+			w.res.Steps = append(w.res.Steps, step)
+		}
+		if err := s.Compact(w.res); err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		var total uint64
+		for i := 0; i < compactions; i++ {
+			w.absorb(t, s, fmt.Sprintf("q%d", i), -1)
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if err := s.Compact(w.res); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			total += ms.TotalAlloc - before
+		}
+		return total / compactions
+	}
+	small, large := perCompaction(1000), perCompaction(20000)
+	t.Logf("heap bytes per compaction: %d with 1 000 records, %d with 20 000", small, large)
+	if large > small+small/2+1024 {
+		t.Fatalf("a compaction allocates %d bytes over 20 000 records but %d over 1 000: it re-encodes the old state",
+			large, small)
 	}
 }

@@ -108,6 +108,9 @@ type Obs struct {
 	// price of the chosen durability policy, separated from search
 	// latency so slow disks and slow interfaces don't blur together.
 	WalFsyncLatency Histogram
+	// CheckpointLatency observes one duration per durable snapshot write
+	// (journal→snapshot compaction): encode, write, fsync and rename.
+	CheckpointLatency Histogram
 
 	// Index construction.
 	IndexBuilds Counter
@@ -530,6 +533,14 @@ func (o *Obs) WalFsynced(d time.Duration) {
 	}
 	o.WalFsyncs.Inc()
 	o.WalFsyncLatency.Observe(d)
+}
+
+// CheckpointWritten observes the latency of one durable snapshot write.
+func (o *Obs) CheckpointWritten(d time.Duration) {
+	if o == nil {
+		return
+	}
+	o.CheckpointLatency.Observe(d)
 }
 
 // Recovered records one crash recovery: the snapshot path, how many

@@ -103,6 +103,7 @@ var registry = []Desc{
 	{"smartcrawl_wal_fsyncs_total", KindCounter, nil, "Journal fsync calls.", perJob},
 	{"smartcrawl_recoveries_total", KindCounter, nil, "Crash recoveries performed (snapshot and/or journal replayed).", perJob},
 	{"smartcrawl_wal_fsync_latency_seconds", KindHistogram, nil, "Latency of journal fsync calls.", perJob},
+	{"smartcrawl_checkpoint_write_seconds", KindHistogram, nil, "Latency of durable snapshot writes (journal→snapshot compaction: encode, write, fsync, rename).", perJob},
 
 	// Index construction and rate-limiter level.
 	{"smartcrawl_index_builds_total", KindCounter, nil, "Inverted-index builds.", perJob},
@@ -250,6 +251,7 @@ func (c *Collection) CollectObs(o *obs.Obs, base ...Label) {
 	add("smartcrawl_wal_fsyncs_total", float64(o.WalFsyncs.Value()))
 	add("smartcrawl_recoveries_total", float64(o.Recoveries.Value()))
 	c.AddHist("smartcrawl_wal_fsync_latency_seconds", o.WalFsyncLatency.Snapshot(), base...)
+	c.AddHist("smartcrawl_checkpoint_write_seconds", o.CheckpointLatency.Snapshot(), base...)
 
 	add("smartcrawl_index_builds_total", float64(o.IndexBuilds.Value()))
 	add("smartcrawl_index_shards", float64(o.IndexShards.Value()))
