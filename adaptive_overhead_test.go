@@ -2,10 +2,11 @@
 // threaded through every dispatch as a context, the retry budget takes a
 // deposit on every absorbed query, and resilient bookkeeping rides the
 // merge stage — all on the hot path of a crawl where nothing ever fails.
-// BenchmarkAdaptiveOverhead is the artifact recorded in
-// BENCH_adaptive.json; TestAdaptiveOverheadUnderTwoPercent enforces the
-// <2% budget in the regular test run using the same interleaved min-of-N
-// scheme as the observability, durability, and federation budget tests.
+// BenchmarkAdaptiveOverhead times it; TestAdaptiveOverheadUnderTwoPercent
+// enforces the <2% budget in the regular test run using the same
+// interleaved min-of-N scheme as the observability, durability, and
+// federation budget tests. End-to-end crawl timings come from the crawl
+// benchmark, perfbench (workloads in perfbench/workloads.json).
 package smartcrawl_test
 
 import (
@@ -42,7 +43,7 @@ func (u *simUniverse) crawlAdaptive(tb testing.TB) *smartcrawl.Result {
 // BenchmarkAdaptiveOverhead times the same in-process crawl built two
 // ways: plain, and with deadline + query timeout + retry budget engaged.
 // Coverage must be identical — on a clean run the adaptive machinery is
-// invisible by design. Recorded in BENCH_adaptive.json.
+// invisible by design.
 func BenchmarkAdaptiveOverhead(b *testing.B) {
 	modes := []struct {
 		name string

@@ -1,9 +1,11 @@
 // Overhead budget for the durability layer: the WAL journal rides inside
 // the crawl merge stage, so every charged query pays one framed append.
-// BenchmarkDurableOverhead is the artifact recorded in BENCH_durable.json;
-// TestDurableOverheadUnderTwoPercent enforces the <2% budget in the
-// regular test run using the interleaved min-of-N scheme every overhead
-// budget test shares (requireOverheadBudget, overhead_test.go).
+// BenchmarkDurableOverhead times it; TestDurableOverheadUnderTwoPercent
+// enforces the <2% budget in the regular test run using the interleaved
+// min-of-N scheme every overhead budget test shares
+// (requireOverheadBudget, overhead_test.go). End-to-end timings of a
+// journaling crawl come from the crawl benchmark's dblp-wal workload
+// (perfbench, perfbench/workloads.json).
 package smartcrawl_test
 
 import (
@@ -68,8 +70,7 @@ func (u *simUniverse) crawlDurable(tb testing.TB, m durableMode) *smartcrawl.Res
 // BenchmarkDurableOverhead times the same in-process crawl under four
 // durability modes: none, snapshot-only (atomic checkpoint at Close),
 // the default WAL configuration (journal + SyncCompact), and the
-// paranoid one (fsync after every append). Recorded in
-// BENCH_durable.json.
+// paranoid one (fsync after every append).
 func BenchmarkDurableOverhead(b *testing.B) {
 	modes := []durableMode{
 		{name: "durability=off"},

@@ -1,10 +1,12 @@
 // Overhead budget for the federation layer: the single-interface crawl IS
 // the n=1 federated loop (interface handles, allocator bookkeeping, tagged
 // steps), so generalizing the loop must not tax the non-federated user.
-// BenchmarkFederateOverhead is the artifact recorded in
-// BENCH_federate.json; TestFederateOverheadUnderTwoPercent enforces the
-// <2% budget in the regular test run using the same interleaved min-of-N
-// scheme as the observability and durability budget tests.
+// BenchmarkFederateOverhead times it; TestFederateOverheadUnderTwoPercent
+// enforces the <2% budget in the regular test run using the same
+// interleaved min-of-N scheme as the observability and durability budget
+// tests. End-to-end crawl timings come from the crawl benchmark,
+// perfbench (workloads in perfbench/workloads.json), whose crawls all run
+// through this loop.
 package smartcrawl_test
 
 import (
@@ -39,7 +41,7 @@ func (u *simUniverse) crawlFederated(tb testing.TB) *smartcrawl.Result {
 // BenchmarkFederateOverhead times the same in-process crawl built two
 // ways: NewSmartCrawler directly, and NewFederatedCrawler over one
 // interface. Coverage must be identical — the n=1 federation is the same
-// loop, not a wrapper. Recorded in BENCH_federate.json.
+// loop, not a wrapper.
 func BenchmarkFederateOverhead(b *testing.B) {
 	modes := []struct {
 		name string

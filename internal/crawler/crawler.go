@@ -177,14 +177,35 @@ func (t *tracker) absorb(q deepweb.Query, benefit float64, recs []*relational.Re
 // use the true size, so a cut page is never mistaken for a solid result.
 // k is the result limit of the interface that answered (interfaces of a
 // federated crawl differ in k) and iface its index (0 when single).
+//
+// Only a record not yet in Crawled is probed against the Joiner; a record
+// an earlier query (or an earlier slot of this page) returned is skipped
+// outright. The skip is exact:
+//  1. A match is a pure function of the hidden record's values, D and the
+//     matcher, and a hidden ID always carries the same values: the
+//     simulator and the HTTP interface never change them, and Faulty's
+//     truncate and stale faults only cut or hide records.
+//  2. The first sighting of h marks every local record it matches as
+//     covered (first match wins).
+//  3. Covered never shrinks, so the loop for any later sighting would
+//     skip every d it matched.
+//  4. Federated hidden IDs are namespaced per interface before they reach
+//     here (Smart.Run), so one ID never names two sources' records.
+//  5. A resumed Result restores Crawled and Covered together (Smart.Run's
+//     resume replay), and durable recovery rejects a step that re-crawls
+//     a record or matches an uncrawled one.
+//
+// So every step, match, obs event, health score and calibration sample
+// sees the same values as when each returned record was probed.
 func (t *tracker) absorbSized(q deepweb.Query, benefit float64, recs []*relational.Record, resultSize, k, iface int) []int {
 	var newly []int
 	var newHidden []int
 	for _, h := range recs {
-		if _, ok := t.res.Crawled[h.ID]; !ok {
-			t.res.Crawled[h.ID] = h
-			newHidden = append(newHidden, h.ID)
+		if _, ok := t.res.Crawled[h.ID]; ok {
+			continue
 		}
+		t.res.Crawled[h.ID] = h
+		newHidden = append(newHidden, h.ID)
 		for _, d := range t.joiner.Matches(h) {
 			if t.res.Covered[d] {
 				continue

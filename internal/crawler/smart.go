@@ -40,7 +40,11 @@ type SmartConfig struct {
 	// issued queries are never re-issued, and solid-query ΔD removals
 	// are replayed from the step trace. A resumed run with budget b2
 	// after a run with budget b1 selects exactly the queries an
-	// uninterrupted run with budget b1+b2 would.
+	// uninterrupted run with budget b1+b2 would. The resumed session
+	// must use the same local table and matcher as the saved one: a
+	// hidden record crawled before is never matched again, and the
+	// checkpoint does not record the matcher, so a changed matcher would
+	// apply only to records first crawled after the resume.
 	Resume *Result
 	// OnlineCalibration enables pay-as-you-go benefit estimation — the
 	// paper's first future-work item (§9): instead of an upfront hidden-

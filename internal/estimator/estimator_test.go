@@ -156,8 +156,9 @@ func TestTrueBenefitBias(t *testing.T) {
 	}
 }
 
-// TestLemma3SolidUnbiasedness statistically validates Lemma 3: for a solid
-// query, E over sample draws of |q(D) ∩ q(Hs)|/θ equals |q(D) ∩ q(H)|.
+// TestLemma3SolidUnbiasedness statistically validates Lemma 3 through
+// Unbiased.Benefit: for a solid query, E over sample draws of the
+// estimate |q(D) ∩ q(Hs)|/θ equals |q(D) ∩ q(H)|.
 func TestLemma3SolidUnbiasedness(t *testing.T) {
 	tk := tokenize.New()
 	rng := stats.NewRNG(101)
@@ -180,24 +181,33 @@ func TestLemma3SolidUnbiasedness(t *testing.T) {
 	q := deepweb.Query{"alpha", "beta"}
 	matcher := match.NewExact(tk)
 
-	const theta = 0.02
-	const trials = 400
-	joiner := match.NewJoiner(matching(local.Records, q, tk), tk, matcher)
+	const (
+		theta  = 0.02
+		trials = 400
+		// k well above |q(H)| = 600 makes q solid, and above every
+		// plausible |q(Hs)|/θ so the estimator predicts it solid too.
+		k = 2000
+	)
+	qD := matching(local.Records, q, tk)
+	joiner := match.NewJoiner(qD, tk, matcher)
 	sum := 0.0
 	for trial := 0; trial < trials; trial++ {
 		smp := sample.Bernoulli(hid, theta, rng.Split())
-		// Count matching pairs between q(D) and q(Hs).
-		matchCount := 0
+		s := Stats{FreqD: len(qD), Theta: theta, K: k}
 		for _, r := range smp.Records {
 			if satisfies(r, q, tk) {
-				matchCount += len(joiner.Matches(r))
+				s.FreqSample++
+				s.MatchSample += len(joiner.Matches(r))
 			}
 		}
-		sum += float64(matchCount) / theta
+		if PredictOverflow(s) {
+			t.Fatalf("trial %d: solid query predicted to overflow (stats %+v)", trial, s)
+		}
+		sum += (Unbiased{}).Benefit(s)
 	}
 	mean := sum / trials
 	if math.Abs(mean-300) > 15 { // ~5σ for this setup
-		t.Fatalf("E[|q(D)∩q(Hs)|/θ] = %v, want ≈300", mean)
+		t.Fatalf("E[Unbiased.Benefit] = %v, want ≈300", mean)
 	}
 }
 
@@ -223,8 +233,9 @@ func satisfies(r *relational.Record, q deepweb.Query, tk *tokenize.Tokenizer) bo
 	return true
 }
 
-// TestLemma5OverflowBiasedExpectation validates the Lemma 5 bias formula:
-// E[|q(D)|·kθ/|q(Hs)|] ≈ k·|q(D)|/|q(H)| (conditioning on |q(Hs)| > 0).
+// TestLemma5OverflowBiasedExpectation validates the Lemma 5 bias formula
+// through Biased.Benefit: E[|q(D)|·kθ/|q(Hs)|] ≈ k·|q(D)|/|q(H)|
+// (conditioning on |q(Hs)| > 0).
 func TestLemma5OverflowBiasedExpectation(t *testing.T) {
 	rng := stats.NewRNG(202)
 	const (
@@ -237,40 +248,45 @@ func TestLemma5OverflowBiasedExpectation(t *testing.T) {
 	sum, n := 0.0, 0
 	for trial := 0; trial < trials; trial++ {
 		// |q(Hs)| ~ Binomial(freqH, theta)
-		freqS := 0
+		s := Stats{FreqD: freqD, Theta: theta, K: k}
 		for i := 0; i < freqH; i++ {
 			if rng.Float64() < theta {
-				freqS++
+				s.FreqSample++
 			}
 		}
-		if freqS == 0 {
+		if s.FreqSample == 0 {
 			continue
 		}
-		sum += float64(freqD) * float64(k) * theta / float64(freqS)
+		if !PredictOverflow(s) {
+			t.Fatalf("trial %d: overflowing query predicted solid (stats %+v)", trial, s)
+		}
+		sum += (Biased{}).Benefit(s)
 		n++
 	}
 	mean := sum / float64(n)
 	want := float64(k) * float64(freqD) / float64(freqH) // = 15
 	// Ratio estimators carry O(1/(θ·freqH)) relative bias; allow 5%.
 	if math.Abs(mean-want)/want > 0.05 {
-		t.Fatalf("E[biased overflow estimate] = %v, want ≈%v", mean, want)
+		t.Fatalf("E[Biased.Benefit] = %v, want ≈%v", mean, want)
 	}
 }
 
 // TestLemma4OverflowUnbiasedExpectation validates the conditionally
-// unbiased overflow estimator: with q(D)∩q(H) a uniform subset of q(H),
-// E[|q(D)∩q(Hs)|·k/|q(Hs)|] ≈ |q(D)∩q(H)|·k/|q(H)| — the expected true
-// benefit under the hypergeometric model (Equation 7).
+// unbiased overflow estimator through Unbiased.Benefit: with q(D)∩q(H) a
+// uniform subset of q(H), E[|q(D)∩q(Hs)|·k/|q(Hs)|] ≈ |q(D)∩q(H)|·k/|q(H)|
+// — the expected true benefit under the hypergeometric model (Equation 7).
+// On the same trials Biased.Benefit, which scales the fixed |q(D)| instead
+// of the sampled match count, must have the lower variance.
 func TestLemma4OverflowUnbiasedExpectation(t *testing.T) {
 	rng := stats.NewRNG(303)
 	const (
 		freqH  = 600
-		inD    = 150 // |q(D) ∩ q(H)|
+		inD    = 150 // |q(D) ∩ q(H)|, and |q(D)|: no ΔD
 		k      = 50
 		theta  = 0.05
 		trials = 3000
 	)
-	sum, n := 0.0, 0
+	var unbiased, biased []float64
 	for trial := 0; trial < trials; trial++ {
 		// Choose which hidden matches are in D uniformly.
 		perm := rng.Perm(freqH)
@@ -278,26 +294,44 @@ func TestLemma4OverflowUnbiasedExpectation(t *testing.T) {
 		for _, i := range perm[:inD] {
 			isInD[i] = true
 		}
-		freqS, matchS := 0, 0
+		s := Stats{FreqD: inD, Theta: theta, K: k}
 		for i := 0; i < freqH; i++ {
 			if rng.Float64() < theta {
-				freqS++
+				s.FreqSample++
 				if isInD[i] {
-					matchS++
+					s.MatchSample++
 				}
 			}
 		}
-		if freqS == 0 {
+		if s.FreqSample == 0 {
 			continue
 		}
-		sum += float64(matchS) * float64(k) / float64(freqS)
-		n++
+		if !PredictOverflow(s) {
+			t.Fatalf("trial %d: overflowing query predicted solid (stats %+v)", trial, s)
+		}
+		unbiased = append(unbiased, (Unbiased{}).Benefit(s))
+		biased = append(biased, (Biased{}).Benefit(s))
 	}
-	mean := sum / float64(n)
+	mean, varU := meanVar(unbiased)
 	want := float64(inD) * float64(k) / float64(freqH) // = 12.5
 	if math.Abs(mean-want)/want > 0.05 {
-		t.Fatalf("E[unbiased overflow estimate] = %v, want ≈%v", mean, want)
+		t.Fatalf("E[Unbiased.Benefit] = %v, want ≈%v", mean, want)
 	}
+	if _, varB := meanVar(biased); varB >= varU {
+		t.Fatalf("Var[Biased.Benefit] = %v, not below Var[Unbiased.Benefit] = %v", varB, varU)
+	}
+}
+
+// meanVar returns the mean and the population variance of xs.
+func meanVar(xs []float64) (mean, variance float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	for _, x := range xs {
+		variance += (x - mean) * (x - mean)
+	}
+	return mean, variance / float64(len(xs))
 }
 
 // Property: the biased estimator never exceeds |q(D)| — the hard upper

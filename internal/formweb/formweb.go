@@ -384,9 +384,13 @@ func Crawl(local *relational.Table, s Searcher, pool []Query, tk *tokenize.Token
 		}
 		res.QueriesIssued++
 		for _, h := range recs {
-			if _, dup := res.Crawled[h.ID]; !dup {
-				res.Crawled[h.ID] = h
+			// A record an earlier query returned already covered every
+			// local record it matches, and coverage never shrinks, so it
+			// is not matched again.
+			if _, dup := res.Crawled[h.ID]; dup {
+				continue
 			}
+			res.Crawled[h.ID] = h
 			for _, d := range joiner.Matches(h) {
 				if !res.Covered[d] {
 					res.Covered[d] = true

@@ -11,8 +11,10 @@ import (
 // Joiner answers "which local records does this hidden record match?" — the
 // per-iteration similarity join of §6.1 that turns a query result q(H)_k
 // into the covered set q(D)_cover. It is built once over the local database
-// and probed with each returned hidden record (at most k per query), so
-// probe cost dominates; three strategies are chosen by matcher type:
+// and probed once per sample record at crawl setup and once per newly
+// crawled hidden record (a record an earlier query returned already
+// covered all it matches, so the crawl loop skips it), so probe cost
+// dominates; three strategies are chosen by matcher type:
 //
 //   - Exact: hash join on the normalized-document key, O(1) per probe;
 //   - Jaccard: prefix-filtered token join (the classic All-Pairs filter:

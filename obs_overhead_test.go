@@ -1,8 +1,10 @@
 // Overhead budget for the observability layer: metrics hooks ride inside
 // the Algorithm-4 crawl loop and the dispatcher, so their cost must be
-// invisible next to real work. BenchmarkObsOverhead is the artifact
-// recorded in BENCH_obs.json; TestObsOverheadUnderTwoPercent enforces the
-// <2% budget in the regular test run using interleaved min-of-N timing.
+// invisible next to real work. BenchmarkObsOverhead times it;
+// TestObsOverheadUnderTwoPercent enforces the <2% budget in the regular
+// test run using interleaved min-of-N timing. End-to-end crawl timings
+// come from the crawl benchmark, perfbench (workloads in
+// perfbench/workloads.json).
 package smartcrawl_test
 
 import (
@@ -62,7 +64,7 @@ func (u *simUniverse) crawl(tb testing.TB, o *smartcrawl.Obs) *smartcrawl.Result
 
 // BenchmarkObsOverhead times the same in-process crawl under three sinks:
 // nil (disabled path — one branch per hook), live metrics, and metrics
-// plus a JSONL tracer writing to io.Discard. Recorded in BENCH_obs.json.
+// plus a JSONL tracer writing to io.Discard.
 func BenchmarkObsOverhead(b *testing.B) {
 	modes := []struct {
 		name string

@@ -1,8 +1,10 @@
 // The /metrics endpoint rides next to a live crawl, so rendering the
 // Prometheus exposition must fit inside the same observability budget as
 // the hooks themselves: a crawl scraped continuously may cost at most 2%
-// more wall-clock than an unscraped one (BENCH_obs.json methodology).
-// BenchmarkPromExport records the cost of a single collect+render pass.
+// more wall-clock than an unscraped one (requireOverheadBudget,
+// overhead_test.go). BenchmarkPromExport times a single collect+render
+// pass. End-to-end crawl timings come from the crawl benchmark, perfbench
+// (workloads in perfbench/workloads.json).
 package smartcrawl_test
 
 import (
