@@ -49,11 +49,13 @@ allocguard:
 	$(GO) test -count=1 -run TestSteadyStateRemoveAllocFree ./internal/crawler/
 
 # Chaos drill (docs/OPERATIONS.md): the fault-injection and resilience
-# tests, ending with the graceful-degradation acceptance sweep — ≥90% of
-# clean coverage at a 10% transient-fault rate, fully accounted. The slow
-# sweep honors -short, so `go test -short` stays fast.
+# tests, the Smart.Run golden oracle (its scenarios include severe faults,
+# a faulted federation and graceful shutdown) and the lost-requeue
+# regression, ending with the graceful-degradation acceptance sweep — ≥90%
+# of clean coverage at a 10% transient-fault rate, fully accounted. The
+# slow sweep honors -short, so `go test -short` stays fast.
 chaos:
-	$(GO) test -v -run 'Faulty|Breaker|Guarded|Resilience|FaultSweep|InjectedFaults' \
+	$(GO) test -v -run 'Faulty|Breaker|Guarded|Resilience|FaultSweep|InjectedFaults|SmartGolden|PendingRequeue' \
 		./internal/deepweb/... ./internal/crawler/
 
 # Crash drill (docs/OPERATIONS.md): SIGKILL the real smartcrawl binary at

@@ -22,7 +22,6 @@ package crawler
 
 import (
 	"errors"
-	"fmt"
 
 	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/index"
@@ -147,7 +146,7 @@ type tracker struct {
 	// federation existed.
 	names []string
 	// ifm holds the per-interface obs metric handles aligned with names;
-	// nil when obs is disabled or the crawl is not federated.
+	// nil when the crawl is not federated.
 	ifm []*obs.IfaceMetrics
 }
 
@@ -235,7 +234,7 @@ func (t *tracker) absorbSized(q deepweb.Query, benefit float64, recs []*relation
 		}
 		o.QueryIface(name, q.Key(), benefit, resultSize, len(newly), t.res.CoveredCount, solid)
 	}
-	if iface < len(t.ifm) && t.ifm[iface] != nil {
+	if iface < len(t.ifm) {
 		m := t.ifm[iface]
 		m.Queries.Inc()
 		m.Covered.Add(int64(len(newly)))
@@ -247,17 +246,4 @@ func (t *tracker) absorbSized(q deepweb.Query, benefit float64, recs []*relation
 		t.env.OnStep(step)
 	}
 	return newly
-}
-
-// issue sends q through the environment searcher, translating budget
-// exhaustion into a clean stop signal.
-func (t *tracker) issue(q deepweb.Query) ([]*relational.Record, bool, error) {
-	recs, err := t.env.Searcher.Search(q)
-	if err != nil {
-		if errors.Is(err, deepweb.ErrBudgetExhausted) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("crawler: issuing %q: %w", q, err)
-	}
-	return recs, true, nil
 }

@@ -106,6 +106,30 @@ func TestSmartSimpleRunsWithoutSample(t *testing.T) {
 	}
 }
 
+// TestFederatedSingleInterfaceName: a one-interface federated crawler is
+// the same crawl as NewSmart over that interface, so it must report the
+// same name — with and without a sample, where the federated
+// constructor leaves the config's Estimator unset.
+func TestFederatedSingleInterfaceName(t *testing.T) {
+	env, db, smp := fixtureEnv(t)
+	for _, s := range []*sample.Sample{nil, smp} {
+		single, err := crawler.NewSmart(env, crawler.SmartConfig{Sample: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fedEnv := *env
+		fedEnv.Searcher = nil
+		fed, err := crawler.NewFederatedSmart(&fedEnv, crawler.SmartConfig{},
+			[]crawler.Interface{{Name: "only", Searcher: db, Sample: s}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fed.Name(), single.Name(); got != want {
+			t.Fatalf("sample=%v: federated n=1 Name() = %q, NewSmart's = %q", s != nil, got, want)
+		}
+	}
+}
+
 func TestSmartRejectsEstimatorWithoutSample(t *testing.T) {
 	env, _, _ := fixtureEnv(t)
 	if _, err := crawler.NewSmart(env, crawler.SmartConfig{Estimator: estimator.Biased{}}); err == nil {

@@ -1,6 +1,10 @@
 package crawler
 
-import "smartcrawl/internal/deepweb"
+import (
+	"fmt"
+
+	"smartcrawl/internal/deepweb"
+)
 
 // PendingQuery is one entry of a selection round that has been journaled
 // but not yet resolved: the query and the benefit it was selected under.
@@ -61,4 +65,23 @@ type DurabilitySink interface {
 	// RoundCompleted fires after the whole round has been merged — the
 	// consistent point for group fsync and journal→snapshot compaction.
 	RoundCompleted(res *Result) error
+}
+
+// noSink is the DurabilitySink of a crawl configured without one, so the
+// merge stage calls its sink unconditionally.
+type noSink struct{}
+
+func (noSink) RoundSelected([]PendingQuery, *Result) error            { return nil }
+func (noSink) StepAbsorbed(*Result, Step, []int) error                { return nil }
+func (noSink) QueryRequeued(deepweb.Query, int, bool, *Result) error  { return nil }
+func (noSink) QueryForfeited(deepweb.Query, int, bool, *Result) error { return nil }
+func (noSink) BudgetStopped(deepweb.Query, *Result) error             { return nil }
+func (noSink) RoundCompleted(*Result) error                           { return nil }
+
+// sinkErr wraps a sink error, which aborts the crawl; nil stays nil.
+func sinkErr(err error) error {
+	if err != nil {
+		return fmt.Errorf("crawler: durability sink: %w", err)
+	}
+	return nil
 }

@@ -79,36 +79,9 @@ func NewFederatedSmart(env *Env, cfg SmartConfig, ifaces []Interface) (*Smart, e
 		if h.Searcher == nil {
 			return nil, fmt.Errorf("crawler: interface %q has no searcher", h.Name)
 		}
-		if h.Estimator == nil {
-			if h.Sample != nil {
-				h.Estimator = estimator.Biased{}
-			} else {
-				h.Estimator = estimator.Frequency{}
-			}
-		}
-		if h.Sample == nil {
-			if _, ok := h.Estimator.(estimator.Frequency); !ok {
-				return nil, fmt.Errorf("crawler: interface %q: sample-based estimators require a sample", h.Name)
-			}
-		} else if h.Sample.Theta <= 0 {
-			return nil, fmt.Errorf("crawler: interface %q: sample has non-positive theta %v", h.Name, h.Sample.Theta)
-		}
-		if cfg.OnlineCalibration && h.Sample != nil {
-			return nil, fmt.Errorf("crawler: interface %q: OnlineCalibration replaces the sample; supply one or the other", h.Name)
+		if err := h.defaults(cfg.OnlineCalibration, fmt.Sprintf("crawler: interface %q: ", h.Name)); err != nil {
+			return nil, err
 		}
 	}
 	return &Smart{env: env, cfg: cfg, ifaces: own}, nil
-}
-
-// Interfaces returns the federation's interface names in index order, or
-// nil for a single-interface crawler.
-func (s *Smart) Interfaces() []string {
-	if len(s.ifaces) == 0 {
-		return nil
-	}
-	names := make([]string, len(s.ifaces))
-	for i := range s.ifaces {
-		names[i] = s.ifaces[i].Name
-	}
-	return names
 }

@@ -1,12 +1,18 @@
 package crawler_test
 
 import (
+	"errors"
 	"testing"
 
 	"smartcrawl/internal/crawler"
 	"smartcrawl/internal/dataset"
+	"smartcrawl/internal/deepweb"
+	"smartcrawl/internal/hidden"
+	"smartcrawl/internal/match"
+	"smartcrawl/internal/relational"
 	"smartcrawl/internal/sample"
 	"smartcrawl/internal/stats"
+	"smartcrawl/internal/tokenize"
 )
 
 func TestOnlineCalibrationRuns(t *testing.T) {
@@ -139,5 +145,55 @@ func TestOnlineResumeEqualsUninterrupted(t *testing.T) {
 		if res2.Steps[i].Query.Key() != refRes.Steps[i].Query.Key() {
 			t.Fatalf("step %d differs: %v vs %v", i, res2.Steps[i].Query, refRes.Steps[i].Query)
 		}
+	}
+}
+
+// TestPendingRequeueSurvivesReprioritize is the lost-requeue regression: a
+// replayed pending query keeps its (never popped) heap entry while it is in
+// flight, and an online-calibration Reprioritize in the same round drops
+// every issued entry, that one included. When the query then fails and is
+// requeued it must go back into the heap, not merely invalidate an entry
+// that no longer exists — otherwise it is neither retried nor forfeited.
+func TestPendingRequeueSurvivesReprioritize(t *testing.T) {
+	tk := tokenize.New()
+	words := []string{"alpha", "bravo", "charlie", "delta"}
+	local := relational.NewTable("local", []string{"name"})
+	remote := relational.NewTable("hidden", []string{"name"})
+	pending := make([]crawler.PendingQuery, len(words))
+	for i, w := range words {
+		local.Append(w)
+		remote.Append(w)
+		pending[i] = crawler.PendingQuery{Query: deepweb.Query{w}, Benefit: 1}
+	}
+	db := hidden.New(remote, tk, 10, hidden.RankByHash(1), hidden.ModeConjunctive)
+	env := &crawler.Env{
+		Local:     local,
+		Searcher:  &keyFault{Searcher: db, keys: map[string]bool{"delta": true}, times: 1, err: errors.New("transient")},
+		Tokenizer: tk,
+		Matcher:   match.NewExactOn(tk, []int{0}, []int{0}),
+	}
+	empty := &crawler.Result{
+		Covered: make([]bool, len(words)),
+		Matches: map[int]*relational.Record{},
+		Crawled: map[int]*relational.Record{},
+	}
+	c, err := crawler.NewSmart(env, crawler.SmartConfig{
+		OnlineCalibration: true, BatchSize: 4, Concurrency: 1, MaxAttempts: 3,
+		Resume: empty, ResumePending: pending,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Resilience
+	if res.CoveredCount != len(words) || res.QueriesIssued != len(words) {
+		t.Fatalf("covered %d of %d with %d queries issued, want every record covered by %d queries (%s)",
+			res.CoveredCount, len(words), res.QueriesIssued, len(words), rep)
+	}
+	if rep.Requeued != 1 || rep.Absorbed != len(words) || rep.Forfeited != 0 || !rep.Accounted() {
+		t.Fatalf("report %s, want 4 absorbed after 1 requeue", rep)
 	}
 }

@@ -3,6 +3,8 @@ package crawler
 import (
 	"fmt"
 	"strings"
+
+	"smartcrawl/internal/deepweb"
 )
 
 // Resilience is the per-run graceful-degradation report of a SMARTCRAWL
@@ -99,9 +101,13 @@ func (r *Resilience) clone() *Resilience {
 
 // dropForfeit removes q from the still-owed list — a resumed session
 // absorbed a query an earlier session forfeited.
-func (r *Resilience) dropForfeit(q string) {
+func (r *Resilience) dropForfeit(q deepweb.Query) {
+	if len(r.ForfeitedQueries) == 0 {
+		return
+	}
+	key := q.Key()
 	for i, f := range r.ForfeitedQueries {
-		if f == q {
+		if f == key {
 			r.ForfeitedQueries = append(r.ForfeitedQueries[:i], r.ForfeitedQueries[i+1:]...)
 			return
 		}

@@ -12,7 +12,6 @@ package crawler
 import (
 	"sync"
 
-	"smartcrawl/internal/estimator"
 	"smartcrawl/internal/index"
 	"smartcrawl/internal/lazyheap"
 	"smartcrawl/internal/match"
@@ -59,10 +58,6 @@ type selection struct {
 	// considered[d] is false once d has been covered or predicted ∈ ΔD.
 	considered []bool
 	remaining  int
-
-	// Sample-side statics retained for the equivalence tests.
-	theta float64
-	freqS func(ids []uint32) int
 
 	// Record-shard state for parallel batch removal (see removeBatch):
 	// records are partitioned into `shards` contiguous ranges of
@@ -154,13 +149,11 @@ func newSelection(env *Env, pool *querypool.Pool, ss selectionStats, workers, sh
 	)
 	if ss.smp != nil && ss.smp.Len() > 0 {
 		stopSample := env.Obs.Phase("sample_index")
-		sel.theta = ss.smp.Theta
 		reIDed := make([]*relational.Record, len(ss.smp.Records))
 		for i, r := range ss.smp.Records {
 			reIDed[i] = &relational.Record{ID: i, Values: r.Values}
 		}
 		invS := index.BuildInvertedIDs(reIDed, env.Tokenizer, dict, workers)
-		sel.freqS = invS.Count
 		sampleSets = ss.smp.TokenIDSets(env.Tokenizer, dict)
 		sampleMatches = make([][]int32, env.Local.Len())
 		for pos, r := range ss.smp.Records {
@@ -391,19 +384,6 @@ func (sel *selection) countAt(d int, qid uint32) int {
 		return 0
 	}
 	return int(sel.fwdCnt[d][lo])
-}
-
-// stats assembles the estimator inputs for one query at the current
-// iteration.
-func (sel *selection) stats(st *qstate, k int, alpha float64) estimator.Stats {
-	return estimator.Stats{
-		FreqD:       st.freqD,
-		FreqSample:  st.freqS,
-		MatchSample: st.matchS,
-		Theta:       sel.theta,
-		K:           k,
-		Alpha:       alpha,
-	}
 }
 
 // countSatisfyingIDs counts the sample positions (matching some local

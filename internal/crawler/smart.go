@@ -184,8 +184,9 @@ type SmartConfig struct {
 type Smart struct {
 	env *Env
 	cfg SmartConfig
-	// ifaces is the federated interface set; empty means single-interface
-	// (synthesized from env.Searcher at Run).
+	// ifaces is the interface set: the one NewSmart builds from
+	// env.Searcher and the config's Sample, Estimator and Breaker, or the
+	// federation NewFederatedSmart was given. Estimators are defaulted.
 	ifaces []Interface
 
 	// HeapRepushes is populated after Run with the lazy-queue repush
@@ -202,24 +203,35 @@ func NewSmart(env *Env, cfg SmartConfig) (*Smart, error) {
 	if err := env.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Estimator == nil {
-		if cfg.Sample != nil {
-			cfg.Estimator = estimator.Biased{}
+	h := Interface{Searcher: env.Searcher, Sample: cfg.Sample, Estimator: cfg.Estimator, Breaker: cfg.Breaker}
+	if err := h.defaults(cfg.OnlineCalibration, "crawler: "); err != nil {
+		return nil, err
+	}
+	return &Smart{env: env, cfg: cfg, ifaces: []Interface{h}}, nil
+}
+
+// defaults applies the estimator default shared by NewSmart and
+// NewFederatedSmart (Biased with a sample, Frequency without) and checks
+// the interface's sample against it; errors start with prefix.
+func (h *Interface) defaults(online bool, prefix string) error {
+	if h.Estimator == nil {
+		if h.Sample != nil {
+			h.Estimator = estimator.Biased{}
 		} else {
-			cfg.Estimator = estimator.Frequency{}
+			h.Estimator = estimator.Frequency{}
 		}
 	}
-	if cfg.Sample == nil {
-		if _, ok := cfg.Estimator.(estimator.Frequency); !ok {
-			return nil, errors.New("crawler: sample-based estimators require a sample")
+	if h.Sample == nil {
+		if _, ok := h.Estimator.(estimator.Frequency); !ok {
+			return errors.New(prefix + "sample-based estimators require a sample")
 		}
-	} else if cfg.Sample.Theta <= 0 {
-		return nil, fmt.Errorf("crawler: sample has non-positive theta %v", cfg.Sample.Theta)
+	} else if h.Sample.Theta <= 0 {
+		return fmt.Errorf("%ssample has non-positive theta %v", prefix, h.Sample.Theta)
 	}
-	if cfg.OnlineCalibration && cfg.Sample != nil {
-		return nil, errors.New("crawler: OnlineCalibration replaces the sample; supply one or the other")
+	if online && h.Sample != nil {
+		return errors.New(prefix + "OnlineCalibration replaces the sample; supply one or the other")
 	}
-	return &Smart{env: env, cfg: cfg}, nil
+	return nil
 }
 
 // Name implements Crawler.
@@ -230,10 +242,11 @@ func (s *Smart) Name() string {
 	if s.cfg.OnlineCalibration {
 		return "smartcrawl-online"
 	}
-	if _, ok := s.cfg.Estimator.(estimator.Frequency); ok {
+	est := s.ifaces[0].Estimator
+	if _, ok := est.(estimator.Frequency); ok {
 		return "smartcrawl-simple"
 	}
-	return "smartcrawl-" + s.cfg.Estimator.Name()
+	return "smartcrawl-" + est.Name()
 }
 
 // qstate is the live selection state of one pool query under one interface.
@@ -282,12 +295,108 @@ type ifaceRun struct {
 	disp     *deepweb.Dispatcher
 	br       *deepweb.Breaker
 
-	sel       *selection
-	benefitOf func(*qstate) float64
-	rescore   func(int) (float64, bool)
+	sel          *selection
+	est          estimator.Estimator
+	theta, alpha float64
+	online       bool // SmartConfig.OnlineCalibration
+	eager        bool // SmartConfig.EagerSelection
+	calib        [64]bucketStat
 
-	calib   [64]bucketStat
+	// metrics is the interface's obs handle — a private, unregistered one
+	// when obs is off or the crawl has a single interface, so updates
+	// need no guard and no snapshot ever shows them.
 	metrics *obs.IfaceMetrics
+}
+
+// benefit is the estimated benefit of issuing st's query here next.
+func (ir *ifaceRun) benefit(st *qstate) float64 {
+	if ir.online {
+		b := ir.calib[bucketOf(len(st.qD))]
+		if b.count >= calibMinObs {
+			// Bucket mean, scaled by the still-uncovered fraction of
+			// this query's records.
+			return (b.sum / float64(b.count)) * float64(st.freqD) / float64(len(st.qD))
+		}
+		if f := float64(st.freqD); f < float64(ir.k) {
+			return f
+		}
+		return float64(ir.k) // uncalibrated: QSel-Simple capped at k
+	}
+	return ir.est.Benefit(estimator.Stats{
+		FreqD:       st.freqD,
+		FreqSample:  st.freqS,
+		MatchSample: st.matchS,
+		Theta:       ir.theta,
+		K:           ir.k,
+		Alpha:       ir.alpha,
+	})
+}
+
+// rescore is the lazy queue's rescoring callback: a live query's fresh
+// benefit, or keep=false for an issued or exhausted one.
+func (ir *ifaceRun) rescore(qid int) (float64, bool) {
+	st := ir.sel.states[qid]
+	if st == nil || st.issued || st.freqD <= 0 {
+		return 0, false
+	}
+	return ir.benefit(st), true
+}
+
+// next selects the best unissued query: a lazy-queue pop, or a full argmax
+// rescan under EagerSelection.
+func (ir *ifaceRun) next() (int, float64, bool) {
+	if ir.eager {
+		return eagerArgmax(ir.sel.states, ir.benefit)
+	}
+	return ir.sel.heap.Pop(ir.rescore)
+}
+
+// retire marks a query issued without popping it — a step replayed on
+// resume, or a replayed pending query. Its heap entry stays; marking it
+// stale makes the issued filter drop it at the next pop instead of
+// re-issuing a clean entry that was never rescored.
+func (ir *ifaceRun) retire(st *qstate) {
+	st.issued = true
+	if !ir.eager {
+		ir.sel.heap.Invalidate(st.q.ID)
+	}
+}
+
+// release returns a selected query to the pool. A heap entry that still
+// holds it (a replayed pending query is issued without a pop) is marked
+// stale; an entry already gone — popped, or dropped by a Reprioritize
+// while the query was in flight — is pushed anew at priority prio().
+func (ir *ifaceRun) release(st *qstate, prio func() float64) {
+	st.issued = false
+	switch {
+	case ir.eager:
+	case ir.sel.heap.Contains(st.q.ID):
+		ir.sel.heap.Invalidate(st.q.ID)
+	default:
+		ir.sel.heap.Push(st.q.ID, prio())
+	}
+}
+
+// observe adds one realized benefit (newly covered records) to st's
+// online-calibration bucket and reports whether priorities need a
+// rebuild: the bucket just became usable or its mean moved materially —
+// rare once calibrated. A no-op without online calibration.
+func (ir *ifaceRun) observe(st *qstate, newly int) bool {
+	if !ir.online || len(st.qD) == 0 {
+		return false
+	}
+	b := &ir.calib[bucketOf(len(st.qD))]
+	old := *b
+	b.sum += float64(newly)
+	b.count++
+	switch {
+	case b.count == calibMinObs:
+		return true
+	case old.count >= calibMinObs:
+		oldMean, curMean := old.sum/float64(old.count), b.sum/float64(b.count)
+		return curMean > 1.3*oldMean || curMean < 0.7*oldMean
+	}
+	return false
 }
 
 // ifaceCand is one allocator candidate: an interface, the clean benefit at
@@ -300,6 +409,67 @@ type ifaceCand struct {
 	rank    float64
 }
 
+// issue is one selected query on its way through a round.
+type issue struct {
+	st      *qstate // nil when a resumed pending query left the pool
+	q       deepweb.Query
+	benefit float64
+	recs    []*relational.Record
+	err     error
+	// undispatched mirrors deepweb.Outcome.Undispatched: the searcher
+	// never saw this query (shutdown drain or deadline expiry caught it
+	// before a worker claimed it), so it was never charged.
+	undispatched bool
+}
+
+// crawlRun is the state of one Smart.Run call, shared by its stages:
+// start, then per round allocate → selectRound → dispatch → settle, then
+// finish.
+type crawlRun struct {
+	s     *Smart
+	env   *Env
+	cfg   *SmartConfig
+	t     *tracker
+	meter *deepweb.Budget // one meter, n charging wrappers
+	// searchCtx carries ONLY the crawl deadline (nil without one): user
+	// cancellation (cfg.Context) stays out of it so graceful shutdown
+	// keeps its drain semantics — in-flight queries finish and are
+	// absorbed — while deadline expiry aborts them.
+	searchCtx context.Context
+
+	pool      *querypool.Pool
+	runs      []*ifaceRun
+	federated bool
+	batch     int
+
+	// The resilience policy (SmartConfig.MaxAttempts, Breaker, Deadline,
+	// RetryBudget, Health). rep is the live report; a non-resilient run
+	// keeps a private one that is never published, so the merge stage
+	// updates it unconditionally.
+	maxAttempts int
+	resilient   bool
+	rep         *Resilience
+	tripsBase   int
+	anyBreaker  bool
+	retry       *deepweb.RetryBudget
+	health      *healthState
+	sink        DurabilitySink // noSink when the config has none
+
+	// pending is the unresolved tail of a crashed session's last round
+	// (SmartConfig.ResumePending), re-issued before any fresh selection.
+	pending []PendingQuery
+
+	// Round scratch, allocated once and reused every round: the loop runs
+	// thousands of rounds and per-round make calls were measurable. Safe
+	// because every consumer finishes with a slice inside the round — the
+	// dispatcher reads its input before returning, and
+	// DurabilitySink.RoundSelected must copy what it retains.
+	round  []issue
+	intent []PendingQuery
+	qs     []deepweb.Query
+	cands  []ifaceCand
+}
+
 // Run implements Crawler, executing Algorithm 4 generalized over the
 // interface set: generate the pool once, build per-interface selection
 // state, then round by round allocate the shared budget to the interface
@@ -307,823 +477,668 @@ type ifaceCand struct {
 // there, cover records globally, and replay §4.2 removals against the
 // issuing interface until the budget or every pool is exhausted.
 func (s *Smart) Run(budget int) (*Result, error) {
-	env := s.env
-	t := newTracker(env)
-
-	// The interface set: explicit for a federated crawl, synthesized from
-	// the environment searcher otherwise. The single-interface path IS the
-	// n=1 federated loop.
-	ifaces := s.ifaces
-	if len(ifaces) == 0 {
-		ifaces = []Interface{{
-			Searcher:  env.Searcher,
-			Sample:    s.cfg.Sample,
-			Estimator: s.cfg.Estimator,
-			Breaker:   s.cfg.Breaker,
-		}}
+	r := &crawlRun{s: s, env: s.env, cfg: &s.cfg, t: newTracker(s.env), meter: deepweb.NewBudget(budget)}
+	if s.cfg.Deadline > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Deadline)
+		defer cancel()
+		r.searchCtx = ctx
 	}
-	nIf := len(ifaces)
-	federated := nIf > 1
-	if federated {
-		t.names = make([]string, nIf)
-		for i := range ifaces {
-			t.names[i] = ifaces[i].Name
+	if err := r.start(); err != nil {
+		return nil, err
+	}
+	defer r.env.Obs.Phase("crawl_loop")()
+	for r.live() {
+		ir, held, err := r.allocate()
+		switch {
+		case err != nil:
+			return nil, err
+		case held:
+			continue
+		case ir == nil:
+			return r.finish(), nil // every interface's pool is exhausted
+		}
+		round := r.selectRound(ir)
+		if len(round) == 0 {
+			break
+		}
+		if err := r.dispatch(ir, round); err != nil {
+			return nil, err
+		}
+		if err := r.settle(ir, round); err != nil {
+			return nil, err
 		}
 	}
-	// One meter, n charging wrappers: every interface spends the same
-	// global allowance.
-	meter := deepweb.NewBudget(budget)
+	return r.finish(), nil
+}
 
-	// The crawl's wall-clock budget. searchCtx carries ONLY the deadline:
-	// user cancellation (s.cfg.Context) deliberately stays out of it so
-	// graceful shutdown keeps its drain semantics — in-flight queries
-	// finish and are absorbed — while deadline expiry aborts them.
-	var searchCtx context.Context
-	if s.cfg.Deadline > 0 {
-		dctx, cancel := context.WithTimeout(context.Background(), s.cfg.Deadline)
-		defer cancel()
-		searchCtx = dctx
+// start is the setup stage: generate the pool, build every interface's
+// runtime and selection state, replay a resumed session, and fix the
+// resilience policy.
+func (r *crawlRun) start() error {
+	cfg, env, ifaces := r.cfg, r.env, r.s.ifaces
+	r.federated = len(ifaces) > 1
+	r.batch = cfg.BatchSize
+	if r.batch < 1 {
+		r.batch = 1
 	}
-
-	batch := s.cfg.BatchSize
-	if batch < 1 {
-		batch = 1
-	}
-	workers := s.cfg.Concurrency
+	workers := cfg.Concurrency
 	if workers < 1 {
-		workers = batch
+		workers = r.batch
 	}
-
-	poolCfg := s.cfg.PoolConfig
+	poolCfg := cfg.PoolConfig
 	if poolCfg.Workers == 0 {
 		poolCfg.Workers = workers
 	}
 	stopPool := env.Obs.Phase("pool_generate")
-	pool := querypool.Generate(env.Local, env.Tokenizer, poolCfg)
+	r.pool = querypool.Generate(env.Local, env.Tokenizer, poolCfg)
 	stopPool()
-	s.PoolSize = pool.Len()
+	r.s.PoolSize = r.pool.Len()
 
-	// Per-interface runtime state. Estimator Benefit calls are the
-	// selection hot path; the instrumented wrapper adds one atomic count
-	// per call and nothing else, so the benefits — and therefore selection
-	// order — are bit-identical.
-	runs := make([]*ifaceRun, nIf)
-	anyBreaker := false
+	r.runs = make([]*ifaceRun, len(ifaces))
 	for i := range ifaces {
-		h := &ifaces[i]
-		ir := &ifaceRun{idx: i, name: h.Name, br: h.Breaker, k: h.Searcher.K()}
-		ir.counting = deepweb.NewCountingOn(h.Searcher, meter)
-		ir.disp = &deepweb.Dispatcher{
-			S:             ir.counting,
-			Workers:       workers,
-			SearchContext: searchCtx,
-			Timeout:       s.cfg.QueryTimeout,
-			Obs:           env.Obs,
-		}
-		if h.Breaker != nil {
-			anyBreaker = true
-		}
-		// Sample-derived estimator constants; the sample's interned
-		// indexes and match tables are built inside newSelection.
-		var theta, alpha float64
-		if h.Sample != nil && h.Sample.Len() > 0 {
-			theta = h.Sample.Theta
-			if s.cfg.AlphaFallback {
-				alpha = theta * float64(env.Local.Len()) / float64(h.Sample.Len())
-			}
-		}
-		est := h.Estimator
-		if est == nil {
-			est = estimator.Frequency{}
-		}
-		if env.Obs.Enabled() {
-			est = estimator.Instrumented{E: est, Obs: env.Obs}
-		}
-		k := ir.k
-		ir.benefitOf = func(st *qstate) float64 {
-			if s.cfg.OnlineCalibration {
-				b := ir.calib[bucketOf(len(st.qD))]
-				if b.count >= calibMinObs {
-					// Bucket mean, scaled by the still-uncovered
-					// fraction of this query's records.
-					return (b.sum / float64(b.count)) *
-						float64(st.freqD) / float64(len(st.qD))
-				}
-				if f := float64(st.freqD); f < float64(k) {
-					return f
-				}
-				return float64(k) // uncalibrated: QSel-Simple capped at k
-			}
-			return est.Benefit(estimator.Stats{
-				FreqD:       st.freqD,
-				FreqSample:  st.freqS,
-				MatchSample: st.matchS,
-				Theta:       theta,
-				K:           k,
-				Alpha:       alpha,
-			})
-		}
-		// Pool resolution, the interned inverted/forward indexes, the
-		// precomputed sample-match counts, and the initial priorities —
-		// Figure 3's index structures on token IDs (see selection.go).
-		ir.sel = newSelection(env, pool, selectionStats{smp: h.Sample, joiner: t.joiner}, workers, s.cfg.Shards, ir.benefitOf)
-		ir.rescore = func(qid int) (float64, bool) {
-			st := ir.sel.states[qid]
-			if st == nil || st.issued || st.freqD <= 0 {
-				return 0, false
-			}
-			return ir.benefitOf(st), true
-		}
-		if federated && env.Obs.Enabled() {
-			ir.metrics = env.Obs.Iface(ir.name)
-		}
-		runs[i] = ir
+		r.runs[i] = r.newIfaceRun(i, &ifaces[i], workers)
+		r.anyBreaker = r.anyBreaker || ifaces[i].Breaker != nil
 	}
-	if federated {
-		t.ifm = make([]*obs.IfaceMetrics, nIf)
-		for i, ir := range runs {
-			t.ifm[i] = ir.metrics
+	if r.federated {
+		r.t.names = make([]string, len(r.runs))
+		r.t.ifm = make([]*obs.IfaceMetrics, len(r.runs))
+		for i, ir := range r.runs {
+			r.t.names[i], r.t.ifm[i] = ir.name, ir.metrics
 		}
 	}
+	if prev := cfg.Resume; prev != nil {
+		if err := r.replay(prev); err != nil {
+			return err
+		}
+	}
+	r.policy()
+	r.sink = cfg.Durability
+	if r.sink == nil {
+		r.sink = noSink{}
+	}
+	r.pending = append([]PendingQuery(nil), cfg.ResumePending...)
+	r.round = make([]issue, 0, r.batch)
+	r.intent = make([]PendingQuery, 0, r.batch)
+	r.qs = make([]deepweb.Query, 0, r.batch)
+	r.cands = make([]ifaceCand, 0, len(r.runs))
+	return nil
+}
 
-	// Resume: replay a previous session's effects before selecting.
-	if prev := s.cfg.Resume; prev != nil {
-		if len(prev.Covered) != env.Local.Len() {
-			return nil, fmt.Errorf("crawler: resume checkpoint covers %d records, local database has %d",
-				len(prev.Covered), env.Local.Len())
-		}
-		// Restore the tracker's cumulative state.
-		copy(t.res.Covered, prev.Covered)
-		t.res.CoveredCount = prev.CoveredCount
-		t.res.QueriesIssued = prev.QueriesIssued
-		t.res.Steps = append(t.res.Steps, prev.Steps...)
-		for id, r := range prev.Crawled {
-			t.res.Crawled[id] = r
-		}
-		for d, h := range prev.Matches {
-			t.res.Matches[d] = h
-		}
-		// Replay coverage removals against every interface, then retire
-		// each step's query — and replay its §4.2 removals — against the
-		// interface that issued it. Replay is the largest removal batch of
-		// a crawl's lifetime, so it benefits most from sharding.
-		coveredIDs := make([]int, 0, prev.CoveredCount)
-		for d, covered := range prev.Covered {
-			if covered {
-				coveredIDs = append(coveredIDs, d)
-			}
-		}
-		for _, ir := range runs {
-			ir.sel.removeBatch(coveredIDs)
-		}
-		for _, step := range prev.Steps {
-			if step.Iface < 0 || step.Iface >= nIf {
-				return nil, fmt.Errorf("crawler: resume step is tagged interface %d; run has %d interfaces",
-					step.Iface, nIf)
-			}
-			ir := runs[step.Iface]
-			q := pool.Find(step.Query)
-			if q == nil || ir.sel.states[q.ID] == nil {
-				continue // pool drift; the query can no longer be selected anyway
-			}
-			st := ir.sel.states[q.ID]
-			st.issued = true
-			if !s.cfg.EagerSelection {
-				// The replayed query's heap entry was never popped; a clean
-				// entry would be re-issued without a rescore. (Usually its
-				// own covered records already invalidated it above, but a
-				// step that covered nothing new leaves the entry clean.)
-				ir.sel.heap.Invalidate(q.ID)
-			}
-			if step.ResultSize < ir.k && !s.cfg.DisableDeltaDRemoval {
-				ir.sel.removeBatchU32(st.qD)
-			}
-			// Replay the calibration observations so a resumed online
-			// crawl selects exactly as an uninterrupted one.
-			if s.cfg.OnlineCalibration && len(st.qD) > 0 {
-				bkt := bucketOf(len(st.qD))
-				ir.calib[bkt].sum += float64(step.NewlyCovered)
-				ir.calib[bkt].count++
-			}
-		}
-		if s.cfg.OnlineCalibration {
-			for _, ir := range runs {
-				ir.sel.heap.Reprioritize(ir.rescore)
-			}
+// newIfaceRun builds interface i's runtime: its charging searcher and
+// dispatcher, its benefit inputs, and its selection state. Estimator
+// Benefit calls are the selection hot path; the instrumented wrapper adds
+// one atomic count per call and nothing else, so the benefits — and
+// therefore selection order — are bit-identical.
+func (r *crawlRun) newIfaceRun(i int, h *Interface, workers int) *ifaceRun {
+	env := r.env
+	ir := &ifaceRun{idx: i, name: h.Name, k: h.Searcher.K(), br: h.Breaker, est: h.Estimator,
+		online: r.cfg.OnlineCalibration, eager: r.cfg.EagerSelection, metrics: &obs.IfaceMetrics{}}
+	ir.counting = deepweb.NewCountingOn(h.Searcher, r.meter)
+	ir.disp = &deepweb.Dispatcher{
+		S:             ir.counting,
+		Workers:       workers,
+		SearchContext: r.searchCtx,
+		Timeout:       r.cfg.QueryTimeout,
+		Obs:           env.Obs,
+	}
+	// Sample-derived estimator constants; the sample's interned indexes
+	// and match tables are built inside newSelection.
+	if h.Sample != nil && h.Sample.Len() > 0 {
+		ir.theta = h.Sample.Theta
+		if r.cfg.AlphaFallback {
+			ir.alpha = ir.theta * float64(env.Local.Len()) / float64(h.Sample.Len())
 		}
 	}
+	if env.Obs.Enabled() {
+		ir.est = estimator.Instrumented{E: ir.est, Obs: env.Obs}
+	}
+	// Pool resolution, the interned inverted/forward indexes, the
+	// precomputed sample-match counts, and the initial priorities —
+	// Figure 3's index structures on token IDs (see selection.go).
+	ir.sel = newSelection(env, r.pool, selectionStats{smp: h.Sample, joiner: r.t.joiner}, workers, r.cfg.Shards, ir.benefit)
+	if r.federated && env.Obs.Enabled() {
+		ir.metrics = env.Obs.Iface(ir.name)
+	}
+	return ir
+}
 
-	// Graceful degradation (see SmartConfig.MaxAttempts/Breaker): failed
-	// queries are requeued or forfeited instead of aborting the run, and
-	// the report below accounts for every dispatched query.
-	maxAttempts := s.cfg.MaxAttempts
-	if maxAttempts < 1 && (anyBreaker || s.cfg.Deadline > 0) {
-		maxAttempts = 1
+// replay applies a previous session's effects before selecting: restore
+// the tracker's cumulative state, replay coverage removals against every
+// interface, then retire each step's query — with its §4.2 removal and
+// calibration observation — against the interface that issued it. Replay
+// is the largest removal batch of a crawl's lifetime, so it benefits most
+// from sharding.
+func (r *crawlRun) replay(prev *Result) error {
+	res, n := r.t.res, r.env.Local.Len()
+	if len(prev.Covered) != n {
+		return fmt.Errorf("crawler: resume checkpoint covers %d records, local database has %d",
+			len(prev.Covered), n)
 	}
-	resilient := maxAttempts > 0
-	var rep *Resilience
-	tripsBase := 0
-	if resilient {
-		rep = &Resilience{}
-		if prev := s.cfg.Resume; prev != nil && prev.Resilience != nil {
-			rep = prev.Resilience.clone()
+	copy(res.Covered, prev.Covered)
+	res.CoveredCount = prev.CoveredCount
+	res.QueriesIssued = prev.QueriesIssued
+	res.Steps = append(res.Steps, prev.Steps...)
+	for id, h := range prev.Crawled {
+		res.Crawled[id] = h
+	}
+	for d, h := range prev.Matches {
+		res.Matches[d] = h
+	}
+	coveredIDs := make([]int, 0, prev.CoveredCount)
+	for d, covered := range prev.Covered {
+		if covered {
+			coveredIDs = append(coveredIDs, d)
 		}
-		tripsBase = rep.BreakerTrips
+	}
+	for _, ir := range r.runs {
+		ir.sel.removeBatch(coveredIDs)
+	}
+	for _, step := range prev.Steps {
+		if step.Iface < 0 || step.Iface >= len(r.runs) {
+			return fmt.Errorf("crawler: resume step is tagged interface %d; run has %d interfaces",
+				step.Iface, len(r.runs))
+		}
+		ir := r.runs[step.Iface]
+		q := r.pool.Find(step.Query)
+		if q == nil || ir.sel.states[q.ID] == nil {
+			continue // pool drift; the query can no longer be selected anyway
+		}
+		st := ir.sel.states[q.ID]
+		ir.retire(st)
+		r.dropDeltaD(ir, st, step.ResultSize)
+		// Replaying the calibration observations makes a resumed online
+		// crawl select exactly as an uninterrupted one.
+		ir.observe(st, step.NewlyCovered)
+	}
+	if r.cfg.OnlineCalibration {
+		for _, ir := range r.runs {
+			ir.sel.heap.Reprioritize(ir.rescore)
+		}
+	}
+	return nil
+}
+
+// policy fixes the run's graceful-degradation policy (see
+// SmartConfig.MaxAttempts/Breaker): failed queries are requeued or
+// forfeited instead of aborting the run, and the report accounts for
+// every dispatched query.
+func (r *crawlRun) policy() {
+	cfg := r.cfg
+	r.maxAttempts = cfg.MaxAttempts
+	if r.maxAttempts < 1 && (r.anyBreaker || cfg.Deadline > 0) {
+		r.maxAttempts = 1
+	}
+	r.resilient = r.maxAttempts > 0
+	var carried *Resilience
+	if cfg.Resume != nil {
+		carried = cfg.Resume.Resilience.clone()
+	}
+	r.rep = &Resilience{}
+	if r.resilient {
+		if carried != nil {
+			r.rep = carried
+		}
+		r.tripsBase = r.rep.BreakerTrips
 		// The live report rides inside the Result from the start, not
-		// only at return: the durability sink snapshots t.res mid-crawl,
-		// and a snapshot missing the failure accounting would under-count
-		// the settled charge on recovery (durable.Recover derives it as
+		// only at return: the durability sink snapshots it mid-crawl, and
+		// a snapshot missing the failure accounting would under-count the
+		// settled charge on recovery (durable.Recover derives it as
 		// issued + requeued + forfeited − refunded).
-		t.res.Resilience = rep
-	} else if prev := s.cfg.Resume; prev != nil && prev.Resilience != nil {
+		r.t.res.Resilience = r.rep
+	} else {
 		// A non-resilient resumed run still carries the historical report
 		// forward, for the same recovery-accounting reason — and so the
 		// failures an earlier session absorbed stay reported.
-		t.res.Resilience = prev.Resilience.clone()
+		r.t.res.Resilience = carried
 	}
-	// Retry budget (see SmartConfig.RetryBudget): deposits and withdrawals
-	// happen only here on the crawl loop's goroutine, in selection order.
-	var retryBudget *deepweb.RetryBudget
-	if resilient && s.cfg.RetryBudget > 0 {
-		retryBudget = deepweb.NewRetryBudget(s.cfg.RetryBudget, 0)
+	// Retry budget deposits and withdrawals happen only in the merge stage,
+	// on the crawl loop's goroutine, in selection order.
+	if r.resilient && cfg.RetryBudget > 0 {
+		r.retry = deepweb.NewRetryBudget(cfg.RetryBudget, 0)
 	}
-	// Health scoring (see SmartConfig.Health): federated only — with one
-	// interface there is no allocation choice to steer.
-	var health *healthState
-	if federated && s.cfg.Health != nil {
-		health = newHealthState(*s.cfg.Health, nIf)
-		for _, hr := range runs {
-			if hr.metrics != nil {
-				hr.metrics.HealthScore.Set(1000)
-			}
+	// Health scoring is federated only: with one interface there is no
+	// allocation choice to steer.
+	if r.federated && cfg.Health != nil {
+		r.health = newHealthState(*cfg.Health, len(r.runs))
+		for _, ir := range r.runs {
+			ir.metrics.HealthScore.Set(1000)
 		}
 	}
-	// noteHealth publishes an interface's score after it moved: the obs
-	// gauge (milli-units) and a health trace event. Clean runs never call
-	// it — scores stay exactly 1.0 — so traces stay byte-identical.
-	noteHealth := func(ir *ifaceRun) {
-		sc := health.score[ir.idx]
-		if ir.metrics != nil {
-			ir.metrics.HealthScore.Set(int64(sc*1000 + 0.5))
-		}
-		env.Obs.Health(ir.name, sc, false)
-	}
-	// requeue returns a failed query to its interface's pool for another
-	// attempt. Its live statistics are recomputed from the considered set
-	// first: removals during the in-flight window skipped this query
-	// (issued queries are normally never reconsidered), so freqD/matchS are
-	// stale. Returns false — forfeit — when attempts are exhausted, nothing
-	// the query covers is still uncovered, or the retry budget is dry (the
-	// cheap checks run first so a guaranteed forfeit never burns a token).
-	requeue := func(ir *ifaceRun, st *qstate, fromHeap bool) bool {
-		ir.sel.recompute(st)
-		if st.freqD <= 0 || st.attempts >= maxAttempts {
-			return false
-		}
-		if retryBudget != nil && !retryBudget.Withdraw() {
-			// The budget is dry: forfeiting here is what caps total
-			// attempts near (1+ratio)·dispatches under a sustained outage.
-			rep.RetryBudgetDenied++
-			env.Obs.RetryDenied(st.q.Keywords.Key())
-			return false
-		}
-		st.issued = false
-		if !s.cfg.EagerSelection {
-			if fromHeap {
-				ir.sel.heap.Push(st.q.ID, ir.benefitOf(st))
-			} else {
-				// The entry is still in the heap (resumed pending query,
-				// never popped); a Push would duplicate it. Invalidation
-				// forces a rescore with the recomputed statistics.
-				ir.sel.heap.Invalidate(st.q.ID)
-			}
-		}
-		return true
-	}
+}
 
-	defer env.Obs.Phase("crawl_loop")()
-	type issue struct {
-		st      *qstate // nil when a resumed pending query left the pool
-		q       deepweb.Query
-		benefit float64
-		// fromHeap records that selection popped this query's heap entry.
-		// A resumed pending query is issued without popping — its entry is
-		// still in the heap (invalidated) — so returning it to the pool
-		// must not Push a duplicate entry.
-		fromHeap bool
-		recs     []*relational.Record
-		err      error
-		// undispatched mirrors deepweb.Outcome.Undispatched: the searcher
-		// never saw this query (shutdown drain or deadline expiry caught it
-		// before a worker claimed it), so it was never charged.
-		undispatched bool
-	}
-	ctx := s.cfg.Context
-	sink := s.cfg.Durability
-	sinkErr := func(err error) error {
-		return fmt.Errorf("crawler: durability sink: %w", err)
-	}
-	anyRemaining := func() bool {
-		for _, ir := range runs {
-			if ir.sel.remaining > 0 {
-				return true
-			}
-		}
+// live reports whether another round may start: budget and something to
+// select remain, and neither a graceful shutdown (stop at the round
+// boundary) nor the crawl deadline has ended the crawl.
+func (r *crawlRun) live() bool {
+	if r.meter.Exhausted() || (!r.anyRemaining() && len(r.pending) == 0) {
 		return false
 	}
-	// pending is the unresolved tail of a crashed session's last round
-	// (see SmartConfig.ResumePending); it is re-issued with the original
-	// benefits — against the original interface — before any fresh
-	// selection.
-	pending := append([]PendingQuery(nil), s.cfg.ResumePending...)
-	// Round scratch, allocated once and reused every round: the selection
-	// loop runs thousands of rounds and the per-round make calls were
-	// measurable. Safe because every consumer finishes with the slice
-	// inside the round — the dispatcher reads its input before returning,
-	// and DurabilitySink.RoundSelected must copy what it retains.
-	issueBuf := make([]issue, batch)
-	round := make([]*issue, 0, batch)
-	intentScratch := make([]PendingQuery, 0, batch)
-	qsScratch := make([]deepweb.Query, 0, batch)
-	cands := make([]ifaceCand, 0, nIf)
-	for !meter.Exhausted() && (anyRemaining() || len(pending) > 0) {
-		if ctx != nil && ctx.Err() != nil {
-			break // graceful shutdown: stop at the round boundary
-		}
-		if searchCtx != nil && searchCtx.Err() != nil {
-			break // the crawl deadline is spent
-		}
-		// Allocate the round to an interface. A replayed crashed round
-		// goes back to the interface that owned it; a single-interface
-		// crawl has no choice to make (and skips the allocator entirely,
-		// preserving the pre-federation loop byte for byte); a federated
-		// round goes to the live interface whose best clean query
-		// promises the largest marginal benefit, ties broken by smaller
-		// interface index so allocation is deterministic.
-		var ir *ifaceRun
-		if len(pending) > 0 {
-			pi := pending[0].Iface
-			if pi < 0 || pi >= nIf {
-				return nil, fmt.Errorf("crawler: recovered pending round is tagged interface %d; run has %d interfaces", pi, nIf)
-			}
-			ir = runs[pi]
-			// Circuit gate: while open, each held round advances the
-			// count-based cooldown; the round that half-opens the breaker
-			// proceeds as a single-query probe.
-			if ir.br != nil && !ir.br.Allow() {
-				rep.BreakerHolds++
-				if ir.metrics != nil {
-					ir.metrics.Holds.Inc()
-				}
-				if health != nil {
-					health.onFailure(ir.idx)
-					noteHealth(ir)
-				}
-				continue
-			}
-		} else if nIf == 1 {
-			ir = runs[0]
-			if ir.br != nil && !ir.br.Allow() {
-				rep.BreakerHolds++
-				continue
-			}
-		} else {
-			// Rank live interfaces by the clean benefit at the top of
-			// their queues (Peek performs exactly the lazy cleaning a Pop
-			// would, so ranking does no throwaway work), then grant the
-			// round to the best-ranked one whose breaker admits traffic.
-			// Consulting breakers in rank order keeps an open circuit on
-			// the best interface from starving the healthy ones; if every
-			// live interface is held, the round is skipped and each hold
-			// advances its breaker's cooldown.
-			cands = cands[:0]
-			for _, c := range runs {
-				if _, b, ok := c.sel.heap.Peek(c.rescore); ok {
-					rank := b
-					if health != nil {
-						rank = b * health.score[c.idx]
-					}
-					cands = append(cands, ifaceCand{c, b, rank})
-				}
-			}
-			held := false
-			allocBenefit := 0.0
-			probe := false
-			if health != nil {
-				// Recovery probe: a degraded interface that has lost
-				// ProbeEvery consecutive rounds force-wins this one (lowest
-				// interface index among those due), breaker permitting —
-				// the score only recovers through successes, and successes
-				// need traffic.
-				pi := -1
-				for j, c := range cands {
-					if health.probeDue(c.ir.idx) && (pi == -1 || c.ir.idx < cands[pi].ir.idx) {
-						pi = j
-					}
-				}
-				if pi >= 0 {
-					c := cands[pi]
-					cands = append(cands[:pi], cands[pi+1:]...)
-					if c.ir.br != nil && !c.ir.br.Allow() {
-						rep.BreakerHolds++
-						if c.ir.metrics != nil {
-							c.ir.metrics.Holds.Inc()
-						}
-						health.onFailure(c.ir.idx)
-						noteHealth(c.ir)
-						held = true
-					} else {
-						ir, allocBenefit, probe = c.ir, c.benefit, true
-						health.sinceProbe[c.ir.idx] = 0
-					}
-				}
-			}
-			for ir == nil && len(cands) > 0 {
-				best := 0
-				for j := 1; j < len(cands); j++ {
-					if cands[j].rank > cands[best].rank {
-						best = j
-					}
-				}
-				c := cands[best]
-				cands = append(cands[:best], cands[best+1:]...)
-				if c.ir.br != nil && !c.ir.br.Allow() {
-					rep.BreakerHolds++
-					if c.ir.metrics != nil {
-						c.ir.metrics.Holds.Inc()
-					}
-					if health != nil {
-						health.onFailure(c.ir.idx)
-						noteHealth(c.ir)
-					}
-					held = true
-					continue
-				}
-				ir, allocBenefit = c.ir, c.benefit
-				break
-			}
-			if ir == nil {
-				if held {
-					continue
-				}
-				break // every interface's pool is exhausted
-			}
-			if health != nil {
-				// Degraded interfaces that lost this round age toward their
-				// recovery probe.
-				for _, c := range cands {
-					if c.ir != ir && health.degraded(c.ir.idx) {
-						health.sinceProbe[c.ir.idx]++
-					}
-				}
-				if probe {
-					if ir.metrics != nil {
-						ir.metrics.Probes.Inc()
-					}
-					env.Obs.Health(ir.name, health.score[ir.idx], true)
-				}
-			}
-			env.Obs.Alloc(ir.name, allocBenefit, meter.Remaining())
-			if ir.metrics != nil {
-				ir.metrics.Allocs.Inc()
-			}
-		}
-		// Pop up to `batch` queries (bounded by the remaining budget so
-		// concurrent issues never overshoot b).
-		n := batch
-		if ir.br != nil && ir.br.State() == deepweb.BreakerHalfOpen {
-			n = 1
-		}
-		if r := meter.Remaining(); r >= 0 && r < n {
-			n = r
-		}
-		round = round[:0]
-		if len(pending) > 0 {
-			// Replay the crashed round verbatim: same queries, same
-			// benefits, same interface, same order. The pool state may
-			// have drifted (a forfeited query whose records were since
-			// covered), so a missing qstate is tolerated — the query is
-			// still issued, only its live bookkeeping is skipped. A round
-			// is journaled as one single-interface intent record, so the
-			// pending tail is interface-homogeneous; trim defensively.
-			m := 0
-			for m < len(pending) && pending[m].Iface == ir.idx {
-				m++
-			}
-			if n > m {
-				n = m
-			}
-			for _, p := range pending[:n] {
-				is := &issueBuf[len(round)]
-				*is = issue{q: p.Query, benefit: p.Benefit}
-				if q := pool.Find(p.Query); q != nil {
-					if st := ir.sel.states[q.ID]; st != nil && !st.issued {
-						st.issued = true
-						is.st = st
-						if !s.cfg.EagerSelection {
-							// The query was never popped this session —
-							// its heap entry is still live, and a clean
-							// entry would be re-issued without ever being
-							// rescored. Mark it stale so the issued
-							// filter retires it at the next pop.
-							ir.sel.heap.Invalidate(q.ID)
-						}
-					}
-				}
-				round = append(round, is)
-			}
-			pending = pending[n:]
-		} else {
-			for len(round) < n {
-				var (
-					qid     int
-					benefit float64
-					ok      bool
-				)
-				if s.cfg.EagerSelection {
-					qid, benefit, ok = eagerArgmax(ir.sel.states, ir.benefitOf)
-				} else {
-					qid, benefit, ok = ir.sel.heap.Pop(ir.rescore)
-				}
-				if !ok {
-					break // pool exhausted
-				}
-				st := ir.sel.states[qid]
-				st.issued = true
-				is := &issueBuf[len(round)]
-				*is = issue{st: st, q: st.q.Keywords, benefit: benefit, fromHeap: true}
-				round = append(round, is)
-			}
-		}
-		if len(round) == 0 {
-			break
-		}
-		if sink != nil {
-			// Write-ahead intent: journal the selected batch before any
-			// of it is dispatched, so a crash mid-round can re-issue
-			// exactly this batch instead of re-selecting a different one.
-			intentScratch = intentScratch[:0]
-			for _, is := range round {
-				intentScratch = append(intentScratch, PendingQuery{Query: is.q, Benefit: is.benefit, Iface: ir.idx})
-			}
-			if err := sink.RoundSelected(intentScratch, t.res); err != nil {
-				return nil, sinkErr(err)
-			}
-		}
-		if o := env.Obs; o != nil {
-			o.Round(len(round), meter.Remaining())
-		}
+	if ctx := r.cfg.Context; ctx != nil && ctx.Err() != nil {
+		return false
+	}
+	return r.searchCtx == nil || r.searchCtx.Err() == nil
+}
 
-		// Issue the round through the interface's worker pool. Outcomes
-		// come back index-aligned with the selection order regardless of
-		// which worker finished first. Under a cancelled context the
-		// dispatcher drains: started queries finish, unstarted ones
-		// come back with ctx.Err() before they could be charged.
-		qsScratch = qsScratch[:0]
-		for _, is := range round {
-			qsScratch = append(qsScratch, is.q)
+func (r *crawlRun) anyRemaining() bool {
+	for _, ir := range r.runs {
+		if ir.sel.remaining > 0 {
+			return true
 		}
-		for i, o := range ir.disp.DispatchCtx(ctx, qsScratch) {
-			round[i].recs, round[i].err = o.Records, o.Err
-			round[i].undispatched = o.Undispatched
-		}
+	}
+	return false
+}
 
-		// Merge stage: absorb in selection order so runs stay
-		// deterministic for any worker count — including every
-		// degradation decision (requeue, forfeit, refund, breaker
-		// feeding), which is why none of it happens on the workers.
-		for _, is := range round {
-			st := is.st
-			if is.undispatched {
-				// Shutdown drain or deadline expiry skipped this query
-				// before it was issued: never executed, never charged, no
-				// journal record — it simply returns to the pool, and a
-				// resumed session will find it still pending in the round
-				// intent record. (A deadline-skipped query is NOT a
-				// deadline forfeit: nothing was spent on it.)
-				if st != nil {
-					st.issued = false
-					if !s.cfg.EagerSelection {
-						if is.fromHeap {
-							ir.sel.heap.Push(st.q.ID, is.benefit)
-						} else {
-							ir.sel.heap.Invalidate(st.q.ID)
-						}
-					}
-				}
-				continue
+// admit is the one breaker gate: it reports whether ir's breaker lets a
+// round through. While the circuit is open each held round advances the
+// breaker's count-based cooldown and counts as a hold (and a health
+// failure); the round that half-opens it proceeds as a single-query probe.
+func (r *crawlRun) admit(ir *ifaceRun) bool {
+	if ir.br == nil || ir.br.Allow() {
+		return true
+	}
+	r.rep.BreakerHolds++
+	ir.metrics.Holds.Inc()
+	r.healthFailure(ir)
+	return false
+}
+
+// allocate grants the round to an interface. A replayed crashed round goes
+// back to the interface that owned it; a single-interface crawl has no
+// choice to make (and skips the allocator entirely — no Peek, no alloc
+// event); a federated round goes to the allocator. held reports a round a
+// breaker held; a nil interface without held means every pool is
+// exhausted.
+func (r *crawlRun) allocate() (ir *ifaceRun, held bool, err error) {
+	switch {
+	case len(r.pending) > 0:
+		pi := r.pending[0].Iface
+		if pi < 0 || pi >= len(r.runs) {
+			return nil, false, fmt.Errorf("crawler: recovered pending round is tagged interface %d; run has %d interfaces", pi, len(r.runs))
+		}
+		ir = r.runs[pi]
+	case len(r.runs) == 1:
+		ir = r.runs[0]
+	default:
+		ir, held = r.allocFederated()
+		return ir, held, nil
+	}
+	if !r.admit(ir) {
+		return nil, true, nil
+	}
+	return ir, false, nil
+}
+
+// allocFederated grants the round to the live interface whose best clean
+// query promises the largest marginal benefit (health-scaled when scoring
+// is on), ties broken by smaller interface index so allocation is
+// deterministic. Peek performs exactly the lazy cleaning a Pop would, so
+// ranking does no throwaway work. Breakers are consulted in rank order, so
+// an open circuit on the best interface does not starve the healthy ones;
+// if every live interface is held, the round is skipped and each hold
+// advances its breaker's cooldown.
+func (r *crawlRun) allocFederated() (ir *ifaceRun, held bool) {
+	cands := r.cands[:0]
+	for _, c := range r.runs {
+		if _, b, ok := c.sel.heap.Peek(c.rescore); ok {
+			rank := b
+			if r.health != nil {
+				rank = b * r.health.score[c.idx]
 			}
-			if errors.Is(is.err, deepweb.ErrBudgetExhausted) {
-				if rep != nil {
-					rep.Dispatched++
-					rep.BudgetStops++
-				}
-				if sink != nil {
-					if err := sink.BudgetStopped(is.q, t.res); err != nil {
-						return nil, sinkErr(err)
-					}
-				}
-				continue
-			}
-			if rep != nil {
-				rep.Dispatched++
-			}
-			if ir.br != nil {
-				ir.br.Record(is.err)
-			}
-			resultSize := len(is.recs)
-			if is.err != nil {
-				var te *deepweb.TruncatedError
-				switch {
-				case !resilient:
-					return nil, fmt.Errorf("crawler: issuing %q: %w", is.q, is.err)
-				case errors.As(is.err, &te):
-					// A cut page: absorb the partial records below, but
-					// judge solidity — and trace the step — on the true
-					// matched size, so §4.2 never removes ΔD records on
-					// the strength of a truncated result.
-					resultSize = te.Full
-					rep.Truncated++
-					env.Obs.Truncated(is.q.Key(), te.Returned, te.Full)
-				case searchCtx != nil && searchCtx.Err() != nil &&
-					errors.Is(is.err, context.DeadlineExceeded):
-					// The crawl deadline caught this query mid-search.
-					// There is no time left to retry it, so it is
-					// forfeited and attributed to the deadline; the
-					// interface never billed the aborted attempt
-					// (deepweb.Charged), so the budget unit is refunded.
-					// Not an interface-health signal: the clock ran out,
-					// the backend did nothing wrong.
-					attempts := maxAttempts
-					if st != nil {
-						st.attempts++
-						attempts = st.attempts
-					}
-					ir.counting.Refund()
-					rep.Refunded++
-					env.Obs.Refunded(is.q.Key())
-					rep.Forfeited++
-					rep.DeadlineExhausted++
-					rep.ForfeitedQueries = append(rep.ForfeitedQueries, is.q.Key())
-					env.Obs.Forfeited(is.q.Key(), attempts, is.err)
-					env.Obs.DeadlineForfeited(is.q.Key(), attempts)
-					if ir.metrics != nil {
-						ir.metrics.Forfeits.Inc()
-					}
-					if sink != nil {
-						if err := sink.QueryForfeited(is.q, attempts, false, t.res); err != nil {
-							return nil, sinkErr(err)
-						}
-					}
-					continue
-				default:
-					if ir.metrics != nil {
-						ir.metrics.Errors.Inc()
-					}
-					if health != nil {
-						health.onFailure(ir.idx)
-						noteHealth(ir)
-					}
-					chargedFail := deepweb.Charged(is.err)
-					if !chargedFail {
-						// The interface never billed this failure (429,
-						// open circuit, cancellation) — a query that
-						// never executed must not consume budget.
-						ir.counting.Refund()
-						rep.Refunded++
-						env.Obs.Refunded(is.q.Key())
-					}
-					attempts := maxAttempts
-					requeued := false
-					if st != nil {
-						st.attempts++
-						attempts = st.attempts
-						requeued = requeue(ir, st, is.fromHeap)
-					}
-					if requeued {
-						rep.Requeued++
-						env.Obs.Requeued(is.q.Key(), attempts, is.err)
-						if ir.metrics != nil {
-							ir.metrics.Requeues.Inc()
-						}
-						if sink != nil {
-							if err := sink.QueryRequeued(is.q, attempts, chargedFail, t.res); err != nil {
-								return nil, sinkErr(err)
-							}
-						}
-					} else {
-						rep.Forfeited++
-						rep.ForfeitedQueries = append(rep.ForfeitedQueries, is.q.Key())
-						env.Obs.Forfeited(is.q.Key(), attempts, is.err)
-						if ir.metrics != nil {
-							ir.metrics.Forfeits.Inc()
-						}
-						if sink != nil {
-							if err := sink.QueryForfeited(is.q, attempts, chargedFail, t.res); err != nil {
-								return nil, sinkErr(err)
-							}
-						}
-					}
-					continue
-				}
-			}
-			if rep != nil {
-				rep.Absorbed++
-				rep.dropForfeit(is.q.Key())
-			}
-			if retryBudget != nil {
-				retryBudget.Deposit()
-			}
-			if health != nil && health.degraded(ir.idx) {
-				health.onSuccess(ir.idx)
-				noteHealth(ir)
-			}
-			recs := is.recs
-			if federated && len(recs) > 0 {
-				// Hidden IDs are namespaced per source: distinct
-				// interfaces may assign the same ID to different entities,
-				// and Result.Crawled is keyed by ID. The records are
-				// cloned rather than retagged in place — the searcher may
-				// share result slices across calls (Faulty's stale-page
-				// cache does). Entity-level dedupe across interfaces
-				// still happens downstream: the Joiner matches on values,
-				// and first-match-wins coverage keeps one match per local
-				// record no matter how many interfaces return the entity.
-				remapped := make([]*relational.Record, len(recs))
-				for j, h := range recs {
-					remapped[j] = &relational.Record{ID: h.ID*nIf + ir.idx, Values: h.Values}
-				}
-				recs = remapped
-			}
-			newly := t.absorbSized(is.q, is.benefit, recs, resultSize, ir.k, ir.idx)
-			if sink != nil {
-				if err := sink.StepAbsorbed(t.res, t.res.Steps[len(t.res.Steps)-1], newly); err != nil {
-					return nil, sinkErr(err)
-				}
-			}
-			if s.cfg.OnlineCalibration && st != nil && len(st.qD) > 0 {
-				bkt := bucketOf(len(st.qD))
-				old := ir.calib[bkt]
-				ir.calib[bkt].sum += float64(len(newly))
-				ir.calib[bkt].count++
-				// Rebuild priorities when a bucket first becomes
-				// usable or its mean moves materially; rare once
-				// calibrated.
-				cur := ir.calib[bkt]
-				curMean := cur.sum / float64(cur.count)
-				switch {
-				case cur.count == calibMinObs:
-					ir.sel.heap.Reprioritize(ir.rescore)
-				case old.count >= calibMinObs:
-					oldMean := old.sum / float64(old.count)
-					if curMean > 1.3*oldMean || curMean < 0.7*oldMean {
-						ir.sel.heap.Reprioritize(ir.rescore)
-					}
-				}
-			}
-			// Coverage is global: a record covered through any interface
-			// leaves every interface's consideration set.
-			for _, r2 := range runs {
-				r2.sel.removeBatch(newly)
-			}
-			// §4.2 ΔD prediction: a solid query (result smaller than
-			// k) returns everything matching it, so any record of
-			// q(D) it did not cover cannot be in H — drop it from
-			// consideration. resultSize is the interface's true match
-			// count even when the page was truncated. Solidity — and
-			// the removal — are strictly per issuing interface: a
-			// record absent from H_i may well be in H_j.
-			solid := resultSize < ir.k
-			if solid && !s.cfg.DisableDeltaDRemoval {
-				if st != nil {
-					ir.sel.removeBatchU32(st.qD)
-				}
+			cands = append(cands, ifaceCand{c, b, rank})
+		}
+	}
+	benefit, probe := 0.0, false
+	if r.health != nil {
+		// Recovery probe: a degraded interface that has lost ProbeEvery
+		// consecutive rounds force-wins this one (lowest interface index
+		// among those due), breaker permitting — the score only recovers
+		// through successes, and successes need traffic.
+		pi := -1
+		for j, c := range cands {
+			if r.health.probeDue(c.ir.idx) && (pi == -1 || c.ir.idx < cands[pi].ir.idx) {
+				pi = j
 			}
 		}
-		if sink != nil {
-			if err := sink.RoundCompleted(t.res); err != nil {
-				return nil, sinkErr(err)
+		if pi >= 0 {
+			c := cands[pi]
+			cands = append(cands[:pi], cands[pi+1:]...)
+			if r.admit(c.ir) {
+				ir, benefit, probe = c.ir, c.benefit, true
+				r.health.sinceProbe[c.ir.idx] = 0
+			} else {
+				held = true
 			}
 		}
 	}
-
-	s.HeapRepushes = 0
-	for _, ir := range runs {
-		s.HeapRepushes += ir.sel.heap.Repushes
+	for ir == nil && len(cands) > 0 {
+		best := 0
+		for j := 1; j < len(cands); j++ {
+			if cands[j].rank > cands[best].rank {
+				best = j
+			}
+		}
+		c := cands[best]
+		cands = append(cands[:best], cands[best+1:]...)
+		if !r.admit(c.ir) {
+			held = true
+			continue
+		}
+		ir, benefit = c.ir, c.benefit
 	}
-	if rep != nil {
-		if anyBreaker {
-			trips := tripsBase
-			for _, ir := range runs {
+	if ir == nil {
+		return nil, held
+	}
+	if r.health != nil {
+		// Degraded interfaces that lost this round age toward their
+		// recovery probe.
+		for _, c := range cands {
+			if c.ir != ir && r.health.degraded(c.ir.idx) {
+				r.health.sinceProbe[c.ir.idx]++
+			}
+		}
+		if probe {
+			ir.metrics.Probes.Inc()
+			r.env.Obs.Health(ir.name, r.health.score[ir.idx], true)
+		}
+	}
+	r.env.Obs.Alloc(ir.name, benefit, r.meter.Remaining())
+	ir.metrics.Allocs.Inc()
+	return ir, false
+}
+
+// selectRound pops up to a batch of queries from ir (one while its breaker
+// is half-open; never more than the remaining budget, so concurrent issues
+// never overshoot b) — or replays the crashed round still pending.
+func (r *crawlRun) selectRound(ir *ifaceRun) []issue {
+	n := r.batch
+	if ir.br != nil && ir.br.State() == deepweb.BreakerHalfOpen {
+		n = 1
+	}
+	if rem := r.meter.Remaining(); rem >= 0 && rem < n {
+		n = rem
+	}
+	round := r.round[:0]
+	if len(r.pending) > 0 {
+		// Replay the crashed round verbatim: same queries, same benefits,
+		// same interface, same order. The pool state may have drifted (a
+		// forfeited query whose records were since covered), so a missing
+		// qstate is tolerated — the query is still issued, only its live
+		// bookkeeping is skipped. A round is journaled as one
+		// single-interface intent record, so the pending tail is
+		// interface-homogeneous; trim defensively.
+		m := 0
+		for m < len(r.pending) && r.pending[m].Iface == ir.idx {
+			m++
+		}
+		if n > m {
+			n = m
+		}
+		for _, p := range r.pending[:n] {
+			is := issue{q: p.Query, benefit: p.Benefit}
+			if q := r.pool.Find(p.Query); q != nil {
+				if st := ir.sel.states[q.ID]; st != nil && !st.issued {
+					ir.retire(st)
+					is.st = st
+				}
+			}
+			round = append(round, is)
+		}
+		r.pending = r.pending[n:]
+		return round
+	}
+	for len(round) < n {
+		qid, benefit, ok := ir.next()
+		if !ok {
+			break // pool exhausted
+		}
+		st := ir.sel.states[qid]
+		st.issued = true
+		round = append(round, issue{st: st, q: st.q.Keywords, benefit: benefit})
+	}
+	return round
+}
+
+// dispatch journals the round's write-ahead intent — before any of it is
+// dispatched, so a crash mid-round can re-issue exactly this batch instead
+// of re-selecting a different one — and issues it through ir's worker
+// pool. Outcomes come back index-aligned with the selection order
+// regardless of which worker finished first. Under a cancelled context
+// the dispatcher drains: started queries finish, unstarted ones come back
+// undispatched before they could be charged.
+func (r *crawlRun) dispatch(ir *ifaceRun, round []issue) error {
+	r.intent, r.qs = r.intent[:0], r.qs[:0]
+	for _, is := range round {
+		r.intent = append(r.intent, PendingQuery{Query: is.q, Benefit: is.benefit, Iface: ir.idx})
+		r.qs = append(r.qs, is.q)
+	}
+	if err := sinkErr(r.sink.RoundSelected(r.intent, r.t.res)); err != nil {
+		return err
+	}
+	r.env.Obs.Round(len(round), r.meter.Remaining())
+	for i, o := range ir.disp.DispatchCtx(r.cfg.Context, r.qs) {
+		round[i].recs, round[i].err, round[i].undispatched = o.Records, o.Err, o.Undispatched
+	}
+	return nil
+}
+
+// settle is the merge stage: it absorbs the round in selection order, so
+// runs stay deterministic for any worker count — including every
+// degradation decision (requeue, forfeit, refund, breaker feeding), which
+// is why none of it happens on the workers. Each query gets exactly one
+// fate; DESIGN.md §5 tabulates them.
+func (r *crawlRun) settle(ir *ifaceRun, round []issue) error {
+	for i := range round {
+		if err := r.settleOne(ir, &round[i]); err != nil {
+			return err
+		}
+	}
+	return sinkErr(r.sink.RoundCompleted(r.t.res))
+}
+
+func (r *crawlRun) settleOne(ir *ifaceRun, is *issue) error {
+	switch {
+	case is.undispatched:
+		// Returned: shutdown drain or deadline expiry skipped this query
+		// before it was issued — never executed, never charged, no journal
+		// record. A resumed session finds it still pending in the round
+		// intent record. (A deadline-skipped query is NOT a deadline
+		// forfeit: nothing was spent on it.)
+		if is.st != nil {
+			ir.release(is.st, func() float64 { return is.benefit })
+		}
+		return nil
+	case errors.Is(is.err, deepweb.ErrBudgetExhausted):
+		r.rep.Dispatched++
+		r.rep.BudgetStops++
+		return sinkErr(r.sink.BudgetStopped(is.q, r.t.res))
+	case is.err != nil && !r.resilient:
+		return fmt.Errorf("crawler: issuing %q: %w", is.q, is.err)
+	}
+	r.rep.Dispatched++
+	if ir.br != nil {
+		ir.br.Record(is.err)
+	}
+	resultSize := len(is.recs)
+	if is.err != nil {
+		var te *deepweb.TruncatedError
+		if !errors.As(is.err, &te) {
+			return r.fail(ir, is)
+		}
+		// A cut page: absorb the partial records, but judge solidity —
+		// and trace the step — on the true matched size, so §4.2 never
+		// removes ΔD records on the strength of a truncated result.
+		resultSize = te.Full
+		r.rep.Truncated++
+		r.env.Obs.Truncated(is.q.Key(), te.Returned, te.Full)
+	}
+	return r.absorb(ir, is, resultSize)
+}
+
+// fail settles a failed attempt of a resilient run: a deadline forfeit
+// when the crawl deadline caught it mid-search (no time left to retry),
+// otherwise a requeue when requeue allows it, otherwise a forfeit. An
+// attempt the interface never billed (429, open circuit, cancellation,
+// the deadline; see deepweb.Charged) refunds its budget unit — a query
+// that never executed must not consume budget. A deadline forfeit is not
+// an interface-health signal: the clock ran out, the backend did nothing
+// wrong.
+func (r *crawlRun) fail(ir *ifaceRun, is *issue) error {
+	key := is.q.Key()
+	deadline := r.searchCtx != nil && r.searchCtx.Err() != nil && errors.Is(is.err, context.DeadlineExceeded)
+	charged := !deadline && deepweb.Charged(is.err)
+	if !deadline {
+		ir.metrics.Errors.Inc()
+		r.healthFailure(ir)
+	}
+	if !charged {
+		ir.counting.Refund()
+		r.rep.Refunded++
+		r.env.Obs.Refunded(key)
+	}
+	attempts := r.maxAttempts
+	if is.st != nil {
+		is.st.attempts++
+		attempts = is.st.attempts
+	}
+	if !deadline && is.st != nil && r.requeue(ir, is.st, key) {
+		r.rep.Requeued++
+		r.env.Obs.Requeued(key, attempts, is.err)
+		ir.metrics.Requeues.Inc()
+		return sinkErr(r.sink.QueryRequeued(is.q, attempts, charged, r.t.res))
+	}
+	r.rep.Forfeited++
+	r.rep.ForfeitedQueries = append(r.rep.ForfeitedQueries, key)
+	r.env.Obs.Forfeited(key, attempts, is.err)
+	if deadline {
+		r.rep.DeadlineExhausted++
+		r.env.Obs.DeadlineForfeited(key, attempts)
+	}
+	ir.metrics.Forfeits.Inc()
+	return sinkErr(r.sink.QueryForfeited(is.q, attempts, charged, r.t.res))
+}
+
+// requeue returns a failed query to its interface's pool for another
+// attempt. Its live statistics are recomputed from the considered set
+// first: removals during the in-flight window skipped this query (issued
+// queries are normally never reconsidered), so freqD/matchS are stale.
+// Returns false — forfeit — when attempts are exhausted, nothing the query
+// covers is still uncovered, or the retry budget is dry (the cheap checks
+// run first so a guaranteed forfeit never burns a token).
+func (r *crawlRun) requeue(ir *ifaceRun, st *qstate, key string) bool {
+	ir.sel.recompute(st)
+	if st.freqD <= 0 || st.attempts >= r.maxAttempts {
+		return false
+	}
+	if r.retry != nil && !r.retry.Withdraw() {
+		// The budget is dry: forfeiting here is what caps total attempts
+		// near (1+ratio)·dispatches under a sustained outage.
+		r.rep.RetryBudgetDenied++
+		r.env.Obs.RetryDenied(key)
+		return false
+	}
+	ir.release(st, func() float64 { return ir.benefit(st) })
+	return true
+}
+
+// absorb settles a query whose results enter coverage: the records are
+// matched and covered globally, and the issuing interface learns from the
+// outcome (calibration, §4.2 ΔD removal).
+func (r *crawlRun) absorb(ir *ifaceRun, is *issue, resultSize int) error {
+	r.rep.Absorbed++
+	r.rep.dropForfeit(is.q)
+	if r.retry != nil {
+		r.retry.Deposit()
+	}
+	r.healthSuccess(ir)
+	recs := is.recs
+	if r.federated && len(recs) > 0 {
+		// Hidden IDs are namespaced per source: distinct interfaces may
+		// assign the same ID to different entities, and Result.Crawled is
+		// keyed by ID. The records are cloned rather than retagged in place
+		// — the searcher may share result slices across calls (Faulty's
+		// stale-page cache does). Entity-level dedupe across interfaces
+		// still happens downstream: the Joiner matches on values, and
+		// first-match-wins coverage keeps one match per local record no
+		// matter how many interfaces return the entity.
+		remapped := make([]*relational.Record, len(recs))
+		for j, h := range recs {
+			remapped[j] = &relational.Record{ID: h.ID*len(r.runs) + ir.idx, Values: h.Values}
+		}
+		recs = remapped
+	}
+	res := r.t.res
+	newly := r.t.absorbSized(is.q, is.benefit, recs, resultSize, ir.k, ir.idx)
+	if err := sinkErr(r.sink.StepAbsorbed(res, res.Steps[len(res.Steps)-1], newly)); err != nil {
+		return err
+	}
+	if is.st != nil && ir.observe(is.st, len(newly)) {
+		ir.sel.heap.Reprioritize(ir.rescore)
+	}
+	// Coverage is global: a record covered through any interface leaves
+	// every interface's consideration set.
+	for _, other := range r.runs {
+		other.sel.removeBatch(newly)
+	}
+	r.dropDeltaD(ir, is.st, resultSize)
+	return nil
+}
+
+// dropDeltaD is the §4.2 ΔD prediction: a solid query (result smaller than
+// k) returns everything matching it, so any record of q(D) it did not
+// cover cannot be in H — drop it from consideration. resultSize is the
+// interface's true match count even when the page was truncated. Solidity
+// — and the removal — are strictly per issuing interface: a record absent
+// from H_i may well be in H_j.
+func (r *crawlRun) dropDeltaD(ir *ifaceRun, st *qstate, resultSize int) {
+	if st != nil && resultSize < ir.k && !r.cfg.DisableDeltaDRemoval {
+		ir.sel.removeBatchU32(st.qD)
+	}
+}
+
+// healthFailure and healthSuccess move an interface's health score when
+// scoring is on, and publish it: the obs gauge (milli-units) and a health
+// trace event. A success only moves a degraded score, so clean runs never
+// publish — scores stay exactly 1.0 and traces stay byte-identical.
+func (r *crawlRun) healthFailure(ir *ifaceRun) {
+	if r.health != nil {
+		r.health.onFailure(ir.idx)
+		r.noteHealth(ir)
+	}
+}
+
+func (r *crawlRun) healthSuccess(ir *ifaceRun) {
+	if r.health != nil && r.health.degraded(ir.idx) {
+		r.health.onSuccess(ir.idx)
+		r.noteHealth(ir)
+	}
+}
+
+func (r *crawlRun) noteHealth(ir *ifaceRun) {
+	sc := r.health.score[ir.idx]
+	ir.metrics.HealthScore.Set(int64(sc*1000 + 0.5))
+	r.env.Obs.Health(ir.name, sc, false)
+}
+
+// finish publishes the run's totals: heap repushes, and breaker trips into
+// a resilient run's report.
+func (r *crawlRun) finish() *Result {
+	r.s.HeapRepushes = 0
+	for _, ir := range r.runs {
+		r.s.HeapRepushes += ir.sel.heap.Repushes
+	}
+	if r.resilient {
+		if r.anyBreaker {
+			trips := r.tripsBase
+			for _, ir := range r.runs {
 				if ir.br != nil {
 					trips += ir.br.Trips()
 				}
 			}
-			rep.BreakerTrips = trips
+			r.rep.BreakerTrips = trips
 		}
-		t.res.Resilience = rep
+		r.t.res.Resilience = r.rep
 	}
-	return t.res, nil
+	return r.t.res
 }
 
 // eagerArgmax scans every live query state and returns the one with the

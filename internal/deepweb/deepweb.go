@@ -136,9 +136,6 @@ func (b *Budget) Issued() int {
 	return b.issued
 }
 
-// Limit returns the configured limit (<= 0 = unlimited).
-func (b *Budget) Limit() int { return b.limit }
-
 // Remaining returns how many units are left, or -1 if unlimited.
 func (b *Budget) Remaining() int {
 	if b.limit <= 0 {

@@ -42,12 +42,6 @@ type Retrying struct {
 	// fails fast with context.DeadlineExceeded so retries only ever
 	// consume the *remaining* deadline budget.
 	Context context.Context
-	// Budget, when non-nil, gates every re-attempt through a retry token
-	// bucket: a denied withdrawal ends the retry loop immediately with
-	// the last error, whatever Retries says. This is the attempt-level
-	// storm guard; the crawl loop's requeue path keeps its own
-	// merge-stage budget for deterministic accounting.
-	Budget *RetryBudget
 	// Obs, when non-nil, records every re-attempt (with its backoff wait
 	// and the error that caused it) into the observability sink.
 	Obs *obs.Obs
@@ -103,11 +97,6 @@ func (r *Retrying) searchCtx(ctx context.Context, q Query) ([]*relational.Record
 	var lastErr error
 	for attempt := 0; attempt <= r.Retries; attempt++ {
 		if attempt > 0 {
-			if r.Budget != nil && !r.Budget.Withdraw() {
-				// Retry budget drained: returning the last error here is
-				// what keeps a fault burst from amplifying into a storm.
-				return nil, fmt.Errorf("deepweb: retry budget exhausted after %d attempts: %w", attempt, lastErr)
-			}
 			r.mu.Lock()
 			r.TotalRetries++
 			if attempt == 1 {

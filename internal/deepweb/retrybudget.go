@@ -11,16 +11,15 @@ import "sync"
 //
 // The crawl loop drives the budget from its merge stage (a single
 // goroutine), which keeps requeue decisions deterministic at any worker
-// count; the bucket is nevertheless mutex-guarded so an attempt-level
-// user (deepweb.Retrying's in-line retries) is safe too. It deliberately
-// never reads the wall clock: tokens are earned by outcome counts, not
-// by time, so a run's retry decisions replay identically.
+// count; the mutex makes the bucket safe for concurrent use all the same.
+// It deliberately never reads the wall clock: tokens are earned by
+// outcome counts, not by time, so a run's retry decisions replay
+// identically.
 type RetryBudget struct {
 	mu     sync.Mutex
 	ratio  float64 // tokens deposited per success
 	burst  float64 // token cap, and the initial balance
 	tokens float64
-	denied int64
 }
 
 // DefaultRetryBurst is the initial/maximum token balance used by
@@ -54,23 +53,8 @@ func (b *RetryBudget) Withdraw() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tokens < 1 {
-		b.denied++
 		return false
 	}
 	b.tokens--
 	return true
-}
-
-// Tokens returns the current balance.
-func (b *RetryBudget) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}
-
-// Denied returns how many withdrawals the budget has refused.
-func (b *RetryBudget) Denied() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.denied
 }

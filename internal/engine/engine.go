@@ -91,8 +91,11 @@ func Run(req *Request) (*Outcome, error) {
 				break
 			}
 		}
-		fmt.Fprintf(log, "federation: %d interfaces (%s)\n",
-			len(fed.Ifaces), strings.Join(fed.Registry.Names(), ", "))
+		names := make([]string, len(fed.Ifaces))
+		for i, h := range fed.Ifaces {
+			names[i] = h.Name
+		}
+		fmt.Fprintf(log, "federation: %d interfaces (%s)\n", len(fed.Ifaces), strings.Join(names, ", "))
 	case req.Hidden != "":
 		var err error
 		hiddenTable, err = readTable(req.Hidden, "hidden")

@@ -292,17 +292,17 @@ type Federation struct {
 	// Ifaces are the live interface handles, in spec order — the order is
 	// the interface ID space (crawler.Interface).
 	Ifaces []crawler.Interface
-	// Registry resolves interface names to indices and searchers.
-	Registry *deepweb.Registry
 	// Tables holds each CSV-backed interface's table (schema source for
 	// enrichment), nil for remote backends; aligned with Ifaces.
 	Tables []*relational.Table
 }
 
 // BuildAll materializes every spec, in order, naming unnamed interfaces
-// h1..hn and registering each in a Registry.
+// h1..hn. Interface names must be unique: a duplicate is rejected here,
+// before anything (a journal, a crawl) is opened against the federation.
 func BuildAll(specs []Spec, local *relational.Table, tk *tokenize.Tokenizer, o *obs.Obs) (*Federation, error) {
-	fed := &Federation{Registry: deepweb.NewRegistry()}
+	fed := &Federation{}
+	seen := make(map[string]bool, len(specs))
 	for i, sp := range specs {
 		if sp.Name == "" {
 			sp.Name = fmt.Sprintf("h%d", i+1)
@@ -311,9 +311,10 @@ func BuildAll(specs []Spec, local *relational.Table, tk *tokenize.Tokenizer, o *
 		if err != nil {
 			return nil, err
 		}
-		if _, err := fed.Registry.Add(h.Name, h.Searcher); err != nil {
-			return nil, err
+		if seen[h.Name] {
+			return nil, fmt.Errorf("federate: duplicate interface name %q", h.Name)
 		}
+		seen[h.Name] = true
 		fed.Ifaces = append(fed.Ifaces, h)
 		fed.Tables = append(fed.Tables, table)
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -103,8 +104,8 @@ func TestBuildAllFromCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fed.Registry.Names(); len(got) != 2 || got[0] != "a" || got[1] != "h2" {
-		t.Errorf("registry names %v, want [a h2] (unnamed specs default positionally)", got)
+	if len(fed.Ifaces) != 2 || fed.Ifaces[0].Name != "a" || fed.Ifaces[1].Name != "h2" {
+		t.Errorf("interfaces %+v, want names [a h2] (unnamed specs default positionally)", fed.Ifaces)
 	}
 	if len(fed.HiddenSchema()) != len(in.Hidden.Schema) {
 		t.Errorf("HiddenSchema %v, want the CSV schema %v", fed.HiddenSchema(), in.Hidden.Schema)
@@ -127,6 +128,27 @@ func TestBuildAllFromCSV(t *testing.T) {
 	}
 	if res.CoveredCount == 0 {
 		t.Error("CSV-backed federation covered nothing")
+	}
+}
+
+// TestBuildAllRejectsDuplicateNames: interface names are the federation's
+// ID space, so BuildAll refuses a repeated one — explicit, or an explicit
+// name colliding with a positional default.
+func TestBuildAllRejectsDuplicateNames(t *testing.T) {
+	in := dblp(t)
+	p := writeCSV(t, t.TempDir(), "h.csv", in.Hidden)
+	for _, spec := range []string{
+		"name=a,hidden=%[1]s,k=10;name=a,hidden=%[1]s,k=20",
+		"hidden=%[1]s,k=10;name=h1,hidden=%[1]s,k=20",
+	} {
+		specs, err := federate.ParseSpecs(fmt.Sprintf(spec, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = federate.BuildAll(specs, in.Local, tokenize.New(), nil)
+		if err == nil || !strings.Contains(err.Error(), "duplicate interface name") {
+			t.Errorf("BuildAll(%q) = %v, want a duplicate-name error", spec, err)
+		}
 	}
 }
 

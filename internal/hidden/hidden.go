@@ -259,9 +259,6 @@ func (db *Database) materialize(ids []uint32) []*relational.Record {
 // Size returns |H|. Real hidden databases do not reveal this.
 func (db *Database) Size() int { return db.table.Len() }
 
-// Table returns the underlying table (ground truth for evaluation).
-func (db *Database) Table() *relational.Table { return db.table }
-
 // TrueFrequency returns |q(H)| — the number of hidden records satisfying q
 // under conjunctive semantics, regardless of mode. Oracle only.
 func (db *Database) TrueFrequency(q deepweb.Query) int {

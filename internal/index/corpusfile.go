@@ -308,7 +308,6 @@ type CorpusFile struct {
 	Dict *tokenize.Dict
 	Inv  *CompressedInvertedIDs
 
-	path    string
 	mapped  []byte
 	unmap   func() error
 	byMmap  bool
@@ -336,7 +335,7 @@ func OpenCorpus(path string) (*CorpusFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: mapping %s: %w", path, err)
 	}
-	cf, err := parseCorpus(path, mapped)
+	cf, err := parseCorpus(mapped)
 	if err != nil {
 		unmap()
 		return nil, fmt.Errorf("index: corpus cache %s: %w", path, err)
@@ -347,7 +346,7 @@ func OpenCorpus(path string) (*CorpusFile, error) {
 	return cf, nil
 }
 
-func parseCorpus(path string, b []byte) (*CorpusFile, error) {
+func parseCorpus(b []byte) (*CorpusFile, error) {
 	h, err := unmarshalCorpusHeader(b)
 	if err != nil {
 		return nil, err
@@ -442,7 +441,6 @@ func parseCorpus(path string, b []byte) (*CorpusFile, error) {
 	return &CorpusFile{
 		Dict:    tokenize.BuildDict(words),
 		Inv:     inv,
-		path:    path,
 		records: int(h.records),
 	}, nil
 }
@@ -453,9 +451,6 @@ func (cf *CorpusFile) Records() int { return cf.records }
 // Mapped reports whether the postings are memory-mapped (vs read into
 // heap on platforms without mmap).
 func (cf *CorpusFile) Mapped() bool { return cf.byMmap }
-
-// Path returns the file the corpus was opened from.
-func (cf *CorpusFile) Path() string { return cf.path }
 
 // Close unmaps the file. The Dict and Inv must not be used afterwards.
 func (cf *CorpusFile) Close() error {

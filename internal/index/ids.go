@@ -314,15 +314,6 @@ func (f *ForwardDense) Add(rid int, qid uint32) {
 	f.entries++
 }
 
-// Grow pre-sizes record rid's list for n entries.
-func (f *ForwardDense) Grow(rid, n int) {
-	if cap(f.lists[rid]) < n {
-		l := make([]uint32, len(f.lists[rid]), n)
-		copy(l, f.lists[rid])
-		f.lists[rid] = l
-	}
-}
-
 // List returns F(rid) (shared slice; callers must not mutate).
 func (f *ForwardDense) List(rid int) []uint32 { return f.lists[rid] }
 

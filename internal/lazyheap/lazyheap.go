@@ -20,6 +20,8 @@ package lazyheap
 type Queue struct {
 	h     []entry
 	dirty []bool
+	// in[id] reports whether the heap holds an entry for id (Contains).
+	in []bool
 
 	// Repushes counts lazy re-insertions — the `t` factor in the paper's
 	// Appendix B complexity analysis, reported by the ablation bench.
@@ -37,15 +39,34 @@ func New() *Queue { return &Queue{} }
 // NewN returns an empty queue pre-sized for IDs 0..n-1, avoiding both the
 // heap-array and dirty-set growth during the initial pool build.
 func NewN(n int) *Queue {
-	return &Queue{h: make([]entry, 0, n), dirty: make([]bool, n)}
+	return &Queue{h: make([]entry, 0, n), dirty: make([]bool, n), in: make([]bool, n)}
 }
 
-// Push inserts a query with the given priority. Each query ID must be
-// pushed at most once; re-prioritization happens only through Invalidate +
-// lazy rescoring.
+// Push inserts a query with the given priority. An ID must not be pushed
+// while the queue still holds it (see Contains); re-prioritization happens
+// only through Invalidate + lazy rescoring.
 func (q *Queue) Push(id int, priority float64) {
+	q.grow(id)
+	q.in[id] = true
 	q.h = append(q.h, entry{id: id, pri: priority})
 	q.up(len(q.h) - 1)
+}
+
+// Contains reports whether the queue holds an entry for id: pushed and
+// not since popped or dropped (by Pop, Peek or Reprioritize).
+func (q *Queue) Contains(id int) bool {
+	return id < len(q.in) && q.in[id]
+}
+
+// grow extends the dense per-ID sets to cover id.
+func (q *Queue) grow(id int) {
+	if id < len(q.dirty) {
+		return
+	}
+	dirty, in := make([]bool, id+1), make([]bool, id+1)
+	copy(dirty, q.dirty)
+	copy(in, q.in)
+	q.dirty, q.in = dirty, in
 }
 
 // Len returns the number of queries currently queued.
@@ -56,11 +77,7 @@ func (q *Queue) Len() int { return len(q.h) }
 // returned. Invalidating an ID not in the queue is a harmless no-op (the
 // flag is cleared when the ID fails to appear).
 func (q *Queue) Invalidate(id int) {
-	if id >= len(q.dirty) {
-		grown := make([]bool, id+1)
-		copy(grown, q.dirty)
-		q.dirty = grown
-	}
+	q.grow(id)
 	q.dirty[id] = true
 }
 
@@ -84,6 +101,7 @@ func (q *Queue) Reprioritize(rescore func(id int) (priority float64, keep bool))
 		}
 		pri, keep := rescore(e.id)
 		if !keep {
+			q.in[e.id] = false
 			continue
 		}
 		q.h = append(q.h, entry{id: e.id, pri: pri})
@@ -150,6 +168,7 @@ func (q *Queue) Peek(rescore func(id int) (priority float64, keep bool)) (id int
 func (q *Queue) popTop() entry {
 	n := len(q.h) - 1
 	top := q.h[0]
+	q.in[top.id] = false
 	q.h[0] = q.h[n]
 	q.h = q.h[:n]
 	if n > 0 {

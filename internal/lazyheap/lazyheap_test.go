@@ -266,3 +266,37 @@ func TestReprioritizeClearsDirtyFlags(t *testing.T) {
 		t.Fatalf("Pop = (%d, %v)", id, p)
 	}
 }
+
+// TestContainsTracksEntries pins membership through every way an entry
+// leaves the heap: a clean Pop, a Pop or Peek that drops a stale entry,
+// and a Reprioritize that drops one — and back in through a re-Push.
+func TestContainsTracksEntries(t *testing.T) {
+	q := New()
+	if q.Contains(0) || q.Contains(100) {
+		t.Fatal("empty queue contains an ID")
+	}
+	for id := 0; id < 5; id++ {
+		q.Push(id, float64(id))
+	}
+	for id := 0; id < 5; id++ {
+		if !q.Contains(id) {
+			t.Fatalf("pushed %d, Contains = false", id)
+		}
+	}
+	if id, _, _ := q.Pop(noRescore(t)); id != 4 || q.Contains(4) {
+		t.Fatalf("Pop returned %d; Contains(4) = %v after popping it", id, q.Contains(4))
+	}
+	q.Invalidate(3)
+	drop := func(int) (float64, bool) { return 0, false }
+	if _, _, ok := q.Peek(drop); !ok || q.Contains(3) {
+		t.Fatalf("Peek dropped stale 3 but Contains(3) = %v", q.Contains(3))
+	}
+	q.Reprioritize(func(id int) (float64, bool) { return float64(id), id != 1 })
+	if q.Contains(1) || !q.Contains(0) || !q.Contains(2) {
+		t.Fatalf("after Reprioritize dropping 1: Contains(0,1,2) = %v %v %v", q.Contains(0), q.Contains(1), q.Contains(2))
+	}
+	q.Push(4, 9)
+	if !q.Contains(4) || q.Len() != 3 {
+		t.Fatalf("re-pushed 4: Contains = %v, Len = %d", q.Contains(4), q.Len())
+	}
+}

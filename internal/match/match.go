@@ -51,14 +51,9 @@ func (m *Exact) Match(d, h *relational.Record) bool {
 	return KeyOn(d, m.tk, m.DCols) == KeyOn(h, m.tk, m.HCols)
 }
 
-// Key returns the normalized-document key of the whole record: sorted
-// distinct tokens joined by spaces. Two records with equal keys are exact
-// matches.
-func Key(r *relational.Record, tk *tokenize.Tokenizer) string {
-	return KeyOn(r, tk, nil)
-}
-
-// KeyOn is Key restricted to the given columns (nil = all).
+// KeyOn returns the normalized-document key of a record restricted to the
+// given columns (nil = all): sorted distinct tokens joined by spaces. Two
+// records with equal keys are exact matches.
 func KeyOn(r *relational.Record, tk *tokenize.Tokenizer, cols []int) string {
 	return strings.Join(tk.NormalizeQuery(projDoc(r, cols)), " ")
 }

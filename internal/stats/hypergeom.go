@@ -32,16 +32,6 @@ func (h Hypergeometric) Mean() float64 {
 	return float64(h.n) * float64(h.K) / float64(h.N)
 }
 
-// Variance returns Var[X] = n·(K/N)·(1−K/N)·(N−n)/(N−1).
-func (h Hypergeometric) Variance() float64 {
-	if h.N <= 1 {
-		return 0
-	}
-	p := float64(h.K) / float64(h.N)
-	return float64(h.n) * p * (1 - p) *
-		float64(h.N-h.n) / float64(h.N-1)
-}
-
 // PMF returns P(X = i) = C(K,i)·C(N−K,n−i)/C(N,n), computed in log space
 // to avoid overflow for large populations.
 func (h Hypergeometric) PMF(i int) float64 {
