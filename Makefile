@@ -147,6 +147,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseFaultProfile -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzParseSpecs -fuzztime 30s ./internal/federate/
 	$(GO) test -fuzz FuzzPostingBlockRoundTrip -fuzztime 30s ./internal/index/
+	$(GO) test -fuzz FuzzResolveBatch -fuzztime 30s ./internal/index/
 	$(GO) test -fuzz FuzzHiddenSearch -fuzztime 30s ./internal/hidden/
 
 # Line-coverage report; per-package baseline numbers are recorded in

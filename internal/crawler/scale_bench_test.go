@@ -157,7 +157,7 @@ func newScaleSelState(u *benchUniverse, cf *index.CorpusFile) *benchSelState {
 	cfg.Dict = cf.Dict
 	cfg.SampleSize = scalePoolSample
 	cfg.SampleSeed = 7
-	cfg.Count = cf.Inv.Count
+	cfg.Index = cf.Inv
 	pool := querypool.Generate(u.in.Local, u.tk, cfg)
 	env := &Env{Local: u.in.Local, Tokenizer: u.tk, Matcher: u.m, Corpus: cf}
 	joiner := match.NewJoiner(u.in.Local.Records, u.tk, u.m)
@@ -217,7 +217,8 @@ func BenchmarkScaleIngest(b *testing.B) {
 
 // BenchmarkScalePoolBuild measures the sampled pool build at 10×: FP-
 // Growth over the reservoir, then exact support recounting against the
-// mapped index. The full-corpus mining it replaces is the "full" cell.
+// mapped index in one batch. The full-corpus mining it replaces is the
+// "full" cell.
 func BenchmarkScalePoolBuild(b *testing.B) {
 	u, cf := scaleUniverse(b)
 	b.Run("sampled", func(b *testing.B) {
@@ -229,7 +230,7 @@ func BenchmarkScalePoolBuild(b *testing.B) {
 			cfg.Dict = cf.Dict
 			cfg.SampleSize = scalePoolSample
 			cfg.SampleSeed = 7
-			cfg.Count = cf.Inv.Count
+			cfg.Index = cf.Inv
 			if pool := querypool.Generate(u.in.Local, u.tk, cfg); pool.Len() == 0 {
 				b.Fatal("empty pool")
 			}

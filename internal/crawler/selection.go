@@ -32,13 +32,6 @@ const selMinChunk = 256
 // the sharded path.
 var selShardMinBatch = 512
 
-// idLookup is the inverted-index probe newSelection resolves q(D)
-// through: the heap-built index.InvertedIDs, or the block-compressed
-// (possibly memory-mapped) index of an opened corpus cache.
-type idLookup interface {
-	LookupInto(q []uint32, scratch []uint32) []uint32
-}
-
 // selection is the live Algorithm-4 selection state: per-query statistics,
 // the dense forward index with its aligned sample-match counts, the
 // considered set, and the lazy priority queue.
@@ -94,11 +87,11 @@ func newSelection(env *Env, pool *querypool.Pool, ss selectionStats, workers, sh
 	dict := pool.Dict
 
 	// q(D) resolution source: an opened corpus cache replaces the heap
-	// index build entirely — postings are read (block-decoded) straight
-	// out of the mapped file, so setup memory no longer carries the
-	// posting lists. Both indexes intersect the same sorted postings, so
-	// the resolved q(D) slices are identical byte for byte.
-	var invD idLookup
+	// index build entirely — postings are block-decoded straight out of
+	// the mapped file, each referenced term once, into a cache that lives
+	// only for the resolution batch. Both indexes hold the same sorted
+	// postings, so the resolved q(D) slices are identical byte for byte.
+	var invD index.PostingSource
 	if env.Corpus != nil {
 		invD = env.Corpus.Inv
 	} else {
@@ -121,22 +114,24 @@ func newSelection(env *Env, pool *querypool.Pool, ss selectionStats, workers, sh
 		sel.considered[i] = true
 	}
 
-	// Phase 1: resolve every pool query's q(D) in parallel. States live
-	// in one arena so the pool costs one allocation, not one per query.
+	// Phase 1: resolve every pool query's q(D) in one batch, in parallel
+	// (index.ResolveBatch shares the work of common prefixes). States
+	// live in one arena so the pool costs one allocation, not one per
+	// query.
 	arena := make([]qstate, pool.Len())
-	parallelChunks(len(pool.Queries), workers, func(lo, hi int) {
-		var scratch []uint32
-		for _, q := range pool.Queries[lo:hi] {
-			scratch = invD.LookupInto(q.IDs, scratch[:0])
-			if len(scratch) == 0 {
-				continue // cannot cover anything; never issue
-			}
-			st := &arena[q.ID]
-			st.q = q
-			st.qD = append([]uint32(nil), scratch...)
-			st.freqD = len(st.qD)
-			sel.states[q.ID] = st
+	qs := make([][]uint32, pool.Len())
+	for _, q := range pool.Queries {
+		qs[q.ID] = q.IDs
+	}
+	index.ResolveBatch(invD, qs, workers, func(id int, qD []uint32) {
+		if len(qD) == 0 {
+			return // cannot cover anything; never issue
 		}
+		st := &arena[id]
+		st.q = pool.Queries[id]
+		st.qD = append([]uint32(nil), qD...)
+		st.freqD = len(st.qD)
+		sel.states[id] = st
 	})
 
 	// Phase 2: sample-side statics. The sample's records are interned

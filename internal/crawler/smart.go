@@ -529,6 +529,11 @@ func (r *crawlRun) start() error {
 	if poolCfg.Workers == 0 {
 		poolCfg.Workers = workers
 	}
+	if env.Corpus != nil && poolCfg.Index == nil {
+		// A sampled pool recounts its candidates against the corpus
+		// cache's index in one batch.
+		poolCfg.Index = env.Corpus.Inv
+	}
 	stopPool := env.Obs.Phase("pool_generate")
 	r.pool = querypool.Generate(env.Local, env.Tokenizer, poolCfg)
 	stopPool()

@@ -310,12 +310,12 @@ func Run(req *Request) (*Outcome, error) {
 	if env.Corpus != nil {
 		// Pool generation reuses the cache's dictionary instead of
 		// re-scanning the table; with PoolSample set it mines a reservoir
-		// sample and recounts supports exactly against the mapped index.
+		// sample, and the crawler recounts supports exactly against the
+		// mapped index (env.Corpus).
 		cfg.PoolConfig.Dict = env.Corpus.Dict
 		if req.PoolSample > 0 {
 			cfg.PoolConfig.SampleSize = req.PoolSample
 			cfg.PoolConfig.SampleSeed = req.Seed
-			cfg.PoolConfig.Count = env.Corpus.Inv.Count
 		}
 	}
 	if req.Health {

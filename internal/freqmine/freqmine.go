@@ -12,6 +12,8 @@
 package freqmine
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -354,43 +356,86 @@ func keyOf(items []int) string {
 // Note the filter is relative to the mined collection: with a MaxLen bound,
 // supersets longer than the bound are not considered (they are not pool
 // candidates either, so dominance against them is irrelevant).
+//
+// Precondition: the collection is downward closed under its length bound
+// (every non-empty subset of a member is a member) and supports are
+// monotone (a subset's support is at least its superset's). Then X is
+// dominated exactly when some immediate superset X∪{y} in the collection
+// has X's support. Proof: if X ⊂ Y with supp(X) = supp(Y), pick y ∈ Y∖X;
+// X∪{y} ⊆ Y is a member, and supp(X) ≥ supp(X∪{y}) ≥ supp(Y) = supp(X).
+// A plain FP-Growth result qualifies, and so does a sampled result with
+// exact recounted supports filtered at a threshold: whenever Y survives,
+// every subset of Y was mined from the same sample records and has an
+// exact support at least Y's. So the filter probes each (itemset, dropped
+// item) pair once — a binary search for Y minus one item among the
+// itemsets of Y's support — instead of scanning every candidate superset.
+//
+// The result keeps the input order and reuses the input's backing array:
+// sets is overwritten.
 func FilterClosed(sets []Itemset) []Itemset {
-	// Group by support; within a group, an itemset is dominated iff some
-	// longer member contains it.
-	bySupport := make(map[int][]int) // support -> indices into sets
-	for i, s := range sets {
-		bySupport[s.Support] = append(bySupport[s.Support], i)
+	// perm orders the itemsets by (support, items), so each support value
+	// is one contiguous run sorted by items.
+	perm := make([]int32, len(sets))
+	for i := range perm {
+		perm[i] = int32(i)
 	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(sets[a].Support, sets[b].Support); c != 0 {
+			return c
+		}
+		return slices.Compare(sets[a].Items, sets[b].Items)
+	})
 	dominated := make([]bool, len(sets))
-	for _, group := range bySupport {
-		// Index group members by one item to limit subset checks.
-		byItem := make(map[int][]int)
-		for _, gi := range group {
-			for _, it := range sets[gi].Items {
-				byItem[it] = append(byItem[it], gi)
-			}
+	for lo := 0; lo < len(perm); {
+		hi := lo + 1
+		for hi < len(perm) && sets[perm[hi]].Support == sets[perm[lo]].Support {
+			hi++
 		}
-		for _, gi := range group {
-			items := sets[gi].Items
-			// Candidates: supersets must contain items[0].
-			for _, gj := range byItem[items[0]] {
-				if gj == gi || len(sets[gj].Items) <= len(items) {
-					continue
-				}
-				if isSubset(items, sets[gj].Items) {
-					dominated[gi] = true
-					break
+		run := perm[lo:hi]
+		for _, yi := range run {
+			y := sets[yi].Items
+			if len(y) < 2 {
+				continue // the empty itemset is never a member
+			}
+			for drop := range y {
+				if j, ok := slices.BinarySearchFunc(run, drop, func(x int32, drop int) int {
+					return compareWithout(sets[x].Items, y, drop)
+				}); ok {
+					dominated[run[j]] = true
 				}
 			}
 		}
+		lo = hi
 	}
-	var out []Itemset
+	out := sets[:0]
 	for i, s := range sets {
 		if !dominated[i] {
 			out = append(out, s)
 		}
 	}
 	return out
+}
+
+// compareWithout compares sorted a with sorted b minus its element at
+// index drop, lexicographically (a proper prefix sorts first).
+func compareWithout(a, b []int, drop int) int {
+	j := 0
+	for i, v := range b {
+		if i == drop {
+			continue
+		}
+		if j == len(a) {
+			return -1
+		}
+		if a[j] != v {
+			return cmp.Compare(a[j], v)
+		}
+		j++
+	}
+	if j < len(a) {
+		return 1
+	}
+	return 0
 }
 
 // isSubset reports whether sorted slice a ⊆ sorted slice b.

@@ -154,34 +154,83 @@ func TestFilterClosedDominance(t *testing.T) {
 	}
 }
 
+// bruteClosed keeps the itemsets with no equal-support proper superset
+// anywhere in sets — the definition FilterClosed implements.
+func bruteClosed(sets []Itemset) []Itemset {
+	var want []Itemset
+	for i, a := range sets {
+		dominated := false
+		for j, b := range sets {
+			if i == j || b.Support != a.Support || len(b.Items) <= len(a.Items) {
+				continue
+			}
+			if isSubset(a.Items, b.Items) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			want = append(want, a)
+		}
+	}
+	return want
+}
+
+// checkClosed compares FilterClosed with the brute force on one
+// collection. The reference runs first: FilterClosed overwrites its input.
+func checkClosed(t *testing.T, name string, sets []Itemset) {
+	t.Helper()
+	want := bruteClosed(sets)
+	got := FilterClosed(sets)
+	if len(got) == 0 && len(want) == 0 {
+		return
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: closed filter mismatch\n got %v\nwant %v", name, got, want)
+	}
+}
+
+// TestFilterClosedAgainstBruteForce checks the one-probe-per-dropped-item
+// filter against the superset scan on the collection shapes its callers
+// pass: plain FP-Growth results, results re-filtered at a higher exact
+// threshold, and sampled results whose supports were recounted over all
+// transactions and then filtered (querypool's sampled pool).
 func TestFilterClosedAgainstBruteForce(t *testing.T) {
 	rng := stats.NewRNG(33)
 	for trial := 0; trial < 20; trial++ {
 		txs := randomTxs(rng, 25, 7, 5)
-		mined := MineFPGrowth(txs, Config{MinSupport: 2, MaxLen: 4})
-		got := FilterClosed(mined)
+		checkClosed(t, fmt.Sprintf("trial %d", trial), MineFPGrowth(txs, Config{MinSupport: 2, MaxLen: 4}))
+	}
+	for trial := 0; trial < 30; trial++ {
+		txs := randomTxs(rng, 40, 9, 6)
+		maxLen := 2 + trial%3
+		minSup := 1 + rng.Intn(2)
+		mined := MineFPGrowth(txs, Config{MinSupport: minSup, MaxLen: maxLen})
 
-		// Brute force: keep itemsets with no equal-support proper
-		// superset in the mined collection.
-		var want []Itemset
-		for i, a := range mined {
-			dominated := false
-			for j, b := range mined {
-				if i == j || b.Support != a.Support || len(b.Items) <= len(a.Items) {
-					continue
-				}
-				if isSubset(a.Items, b.Items) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				want = append(want, a)
+		// Re-filtered at a higher exact threshold.
+		higher := minSup + 1 + rng.Intn(4)
+		var refiltered []Itemset
+		for _, s := range mined {
+			if s.Support >= higher {
+				refiltered = append(refiltered, s)
 			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: closed filter mismatch\n got %v\nwant %v", trial, got, want)
+		checkClosed(t, fmt.Sprintf("refilter trial %d (s=%d→%d, MaxLen %d)", trial, minSup, higher, maxLen), refiltered)
+
+		// Mined over a sample, recounted over every transaction, and
+		// filtered at the exact threshold.
+		sample := txs[:10+rng.Intn(20)]
+		exact := make(map[string]int)
+		for _, s := range MineFPGrowth(txs, Config{MinSupport: 1, MaxLen: maxLen}) {
+			exact[keyOf(s.Items)] = s.Support
 		}
+		var recounted []Itemset
+		for _, s := range MineFPGrowth(sample, Config{MinSupport: minSup, MaxLen: maxLen}) {
+			if sup := exact[keyOf(s.Items)]; sup >= higher {
+				recounted = append(recounted, Itemset{Items: s.Items, Support: sup})
+			}
+		}
+		checkClosed(t, fmt.Sprintf("recount trial %d (|sample|=%d, s=%d, t=%d, MaxLen %d)", trial, len(sample), minSup, higher, maxLen), recounted)
 	}
 }
 

@@ -279,6 +279,38 @@ func IntersectU32(dst, a, b []uint32) []uint32 {
 	return dst
 }
 
+// countIntersectU32 returns |a ∩ b| for sorted slices, by IntersectU32's
+// merge/gallop choice but without materializing the intersection.
+func countIntersectU32(a, b []uint32) int {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	n := 0
+	if len(b) > 16*len(a) {
+		for _, v := range a {
+			if containsU32(b, v) {
+				n++
+			}
+		}
+		return n
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		av, bv := a[i], b[j]
+		switch {
+		case av < bv:
+			i++
+		case av > bv:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
 // containsU32 reports whether sorted slice p contains v (binary search).
 func containsU32(p []uint32, v uint32) bool {
 	lo, hi := 0, len(p)
