@@ -930,15 +930,39 @@ func (r *crawlRun) dispatch(ir *ifaceRun, round []issue) error {
 // runs stay deterministic for any worker count — including every
 // degradation decision (requeue, forfeit, refund, breaker feeding), which
 // is why none of it happens on the workers. Each query gets exactly one
-// fate; DESIGN.md §5 tabulates them.
+// fate; DESIGN.md §5 tabulates them. A strict run that hits a failure
+// still settles — and journals — the rest of the round, whose searches
+// were already paid for, and then returns the first failure without
+// completing the round: recovery leaves only the failed queries pending.
 func (r *crawlRun) settle(ir *ifaceRun, round []issue) error {
+	var aborted error
 	for i := range round {
-		if err := r.settleOne(ir, &round[i]); err != nil {
+		err := r.settleOne(ir, &round[i])
+		var ab *abortError
+		switch {
+		case errors.As(err, &ab):
+			if aborted == nil {
+				aborted = err
+			}
+		case err != nil:
 			return err
 		}
 	}
+	if aborted != nil {
+		return aborted
+	}
 	return sinkErr(r.sink.RoundCompleted(r.t.res))
 }
+
+// abortError is the failure of a query in a strict (non-resilient) run,
+// which ends the crawl once its round is settled.
+type abortError struct {
+	q   deepweb.Query
+	err error
+}
+
+func (e *abortError) Error() string { return fmt.Sprintf("crawler: issuing %q: %v", e.q, e.err) }
+func (e *abortError) Unwrap() error { return e.err }
 
 func (r *crawlRun) settleOne(ir *ifaceRun, is *issue) error {
 	switch {
@@ -957,7 +981,7 @@ func (r *crawlRun) settleOne(ir *ifaceRun, is *issue) error {
 		r.rep.BudgetStops++
 		return sinkErr(r.sink.BudgetStopped(is.q, r.t.res))
 	case is.err != nil && !r.resilient:
-		return fmt.Errorf("crawler: issuing %q: %w", is.q, is.err)
+		return &abortError{q: is.q, err: is.err}
 	}
 	r.rep.Dispatched++
 	if ir.br != nil {
