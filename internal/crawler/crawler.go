@@ -40,8 +40,9 @@ type Env struct {
 	Matcher   match.Matcher
 	// Corpus, when set, is an opened corpus cache for Local: selection
 	// resolves q(D) through its block-compressed, memory-mapped inverted
-	// index instead of building index.InvertedIDs on the heap, and the
-	// engine routes pool generation through its dictionary. The cache
+	// index instead of building index.InvertedIDs on the heap, a sampled
+	// pool recounts its candidates against that index, and the engine
+	// routes pool generation through its dictionary. The cache
 	// MUST have been built over exactly this Local table (the engine
 	// validates record counts); results are then byte-identical to the
 	// in-memory path. Nil keeps the heap index.

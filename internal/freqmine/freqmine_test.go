@@ -125,8 +125,6 @@ func TestFilterClosedDominance(t *testing.T) {
 		{5, 1, 2, 0},
 	}
 	mined := MineFPGrowth(txs, Config{MinSupport: 2, MaxLen: 4})
-	closed := FilterClosed(mined)
-
 	has := func(sets []Itemset, items ...int) bool {
 		for _, s := range sets {
 			if reflect.DeepEqual(s.Items, items) {
@@ -138,6 +136,7 @@ func TestFilterClosedDominance(t *testing.T) {
 	if !has(mined, 1) {
 		t.Fatal("setup: {noodle} should be mined")
 	}
+	closed := FilterClosed(mined) // overwrites mined
 	if has(closed, 1) {
 		t.Error("{noodle} should be dominated by {thai, noodle, house}")
 	}

@@ -97,7 +97,7 @@ func CountBatch(src PostingSource, qs [][]uint32, workers int) []int {
 	counts := make([]int, len(qs))
 	walkBatch(src, qs, workers, func(s *prefixStack, i int32, q []uint32) {
 		switch len(q) {
-		case 0:
+		case 0: // matches nothing
 		case 1:
 			counts[i] = len(s.postings(q[0]))
 		default:

@@ -12,10 +12,11 @@ import (
 )
 
 // batchCorpus builds n records over a 12-word vocabulary with skewed word
-// frequencies, so the common words span several posting blocks. The
-// dictionary holds all 12 words but no record uses the last one, so ID
-// 11 is a term with no postings; IDs 12 and up are outside the
-// dictionary.
+// frequencies (word w in about one record in 2^(w/2+1)), so the common
+// words span several posting blocks and the rare ones are short enough
+// for the intersections to gallop. The dictionary holds all 12 words but
+// no record uses the last one, so ID 11 is a term with no postings; IDs
+// 12 and up are outside the dictionary.
 func batchCorpus(seed uint64, n int) (*InvertedIDs, *CompressedInvertedIDs) {
 	tk := tokenize.New()
 	vocab := make([]string, 12)
@@ -28,7 +29,7 @@ func batchCorpus(seed uint64, n int) (*InvertedIDs, *CompressedInvertedIDs) {
 	for i := range recs {
 		doc := ""
 		for w := 0; w < 11; w++ {
-			if rng.Intn(w+2) == 0 {
+			if rng.Intn(2<<(w/2)) == 0 {
 				doc += vocab[w] + " "
 			}
 		}
