@@ -3,9 +3,11 @@
 // record documents for computing query frequencies |q(D)| by posting-list
 // intersection (Figure 3(a)), in a plain form (InvertedIDs) and a block
 // d-gap compressed form that also backs the memory-mapped corpus file
-// (CompressedInvertedIDs), and a forward index mapping each record to the
-// pool queries it satisfies (Figure 3(b), ForwardDense), which drives the
-// delta-update mechanism of the selection loop.
+// (CompressedInvertedIDs), a batch resolver that computes q(D) or |q(D)|
+// for a whole query pool at once, sharing the work of common prefixes
+// (ResolveBatch, CountBatch), and a forward index mapping each record to
+// the pool queries it satisfies (Figure 3(b), ForwardDense), which drives
+// the delta-update mechanism of the selection loop.
 package index
 
 import (
