@@ -146,6 +146,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseTrace -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzParseFaultProfile -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzParseSpecs -fuzztime 30s ./internal/federate/
+	$(GO) test -fuzz FuzzValidatedRequestRuns -fuzztime 30s ./internal/engine/
 	$(GO) test -fuzz FuzzPostingBlockRoundTrip -fuzztime 30s ./internal/index/
 	$(GO) test -fuzz FuzzResolveBatch -fuzztime 30s ./internal/index/
 	$(GO) test -fuzz FuzzHiddenSearch -fuzztime 30s ./internal/hidden/

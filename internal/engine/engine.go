@@ -1,7 +1,8 @@
 // Package engine assembles and runs one budgeted enrichment crawl
-// end-to-end: load inputs, build the search interface (simulated, remote,
-// or federated), compose the politeness/fault/breaker stack, recover
-// durable state, crawl, enrich, and persist the checkpoint.
+// end-to-end: load inputs, build the search interfaces through
+// internal/federate (a simulated or remote interface is the one-interface
+// federation of its spec), recover durable state, crawl, enrich, and
+// persist the checkpoint.
 //
 // It is the shared core behind the two user-facing surfaces: the
 // smartcrawl CLI (one process, one crawl) and the crawld daemon (many
@@ -19,20 +20,15 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"smartcrawl/internal/crawler"
-	"smartcrawl/internal/deepweb"
-	"smartcrawl/internal/deepweb/httpapi"
 	"smartcrawl/internal/durable"
 	"smartcrawl/internal/enrich"
 	"smartcrawl/internal/estimator"
 	"smartcrawl/internal/federate"
-	"smartcrawl/internal/hidden"
 	"smartcrawl/internal/match"
 	"smartcrawl/internal/relational"
 	"smartcrawl/internal/sample"
-	"smartcrawl/internal/stats"
 	"smartcrawl/internal/tokenize"
 )
 
@@ -60,115 +56,39 @@ func Run(req *Request) (*Outcome, error) {
 	tk := tokenize.New()
 	local := req.Local
 
-	var fedSpecs []federate.Spec
-	if req.Interfaces != "" {
-		var err error
-		fedSpecs, err = federate.ParseSpecs(req.Interfaces)
-		if err != nil {
-			return nil, err
+	// One builder serves both request forms: a Hidden or URL request is
+	// the one-interface federation of its spec.
+	specs, err := req.specs()
+	if err != nil {
+		return nil, err
+	}
+	fed, err := federate.BuildAll(specs, local, tk, o)
+	if err != nil {
+		return nil, err
+	}
+	hiddenSchema := fed.HiddenSchema()
+	var hiddenTable *relational.Table
+	for _, t := range fed.Tables {
+		if t != nil {
+			hiddenTable = t
+			break
 		}
 	}
-
-	// Assemble the search interface, the sample, and the hidden schema.
-	var (
-		searcher     deepweb.Searcher
-		smp          *sample.Sample
-		hiddenSchema []string
-		hiddenTable  *relational.Table
-		fed          *federate.Federation
-	)
-	switch {
-	case fedSpecs != nil:
-		var err error
-		fed, err = federate.BuildAll(fedSpecs, local, tk, o)
-		if err != nil {
-			return nil, err
-		}
-		hiddenSchema = fed.HiddenSchema()
-		for _, t := range fed.Tables {
-			if t != nil {
-				hiddenTable = t
-				break
-			}
-		}
+	if req.Interfaces != "" {
 		names := make([]string, len(fed.Ifaces))
 		for i, h := range fed.Ifaces {
 			names[i] = h.Name
 		}
 		fmt.Fprintf(log, "federation: %d interfaces (%s)\n", len(fed.Ifaces), strings.Join(names, ", "))
-	case req.Hidden != "":
-		var err error
-		hiddenTable, err = readTable(req.Hidden, "hidden")
-		if err != nil {
-			return nil, err
-		}
-		hiddenSchema = hiddenTable.Schema
-		rank := hidden.RankByHash(0x5eed)
-		if req.RankColumn >= 0 {
-			rank = hidden.RankByNumericColumn(req.RankColumn)
-		}
-		searcher = hidden.New(hiddenTable, tk, req.K, rank, hidden.ModeConjunctive)
-		smp = sample.Bernoulli(hiddenTable, req.Theta, stats.NewRNG(req.Seed))
-	default:
-		// The client deliberately does not carry req.Context: graceful
-		// shutdown drains in-flight queries (their results are absorbed
-		// and journaled), it does not abort them mid-request.
-		client := &httpapi.Client{BaseURL: req.URL, Retries: 5}
-		pool := sample.SingleKeywordPool(local, tk)
-		if len(pool) == 0 {
-			return nil, errors.New("engine: local table has no indexable keywords")
-		}
-		if err := client.Probe(pool[0]); err != nil {
-			return nil, fmt.Errorf("engine: probing %s: %w", req.URL, err)
-		}
-		stopSample := o.Phase("keyword_sample")
-		var err error
-		smp, err = sample.Keyword(client, pool, tk, sample.KeywordConfig{
-			Target: req.SampleTarget, Seed: req.Seed,
-		})
-		stopSample()
-		if err != nil {
-			fmt.Fprintf(log, "warning: sampling incomplete: %v\n", err)
+	} else if smp := fed.Ifaces[0].Sample; req.URL != "" && smp != nil {
+		// The keyword sampler returns ErrSampleBudget exactly when it
+		// drew fewer records than its target; Build kept the partial
+		// sample.
+		if smp.Len() < req.SampleTarget {
+			fmt.Fprintf(log, "warning: sampling incomplete: %v\n", sample.ErrSampleBudget)
 		}
 		fmt.Fprintf(log, "sample: %d records, θ̂=%.4f%%, %d queries spent\n",
 			smp.Len(), 100*smp.Theta, smp.QueriesSpent)
-		searcher = client
-		if smp.Len() > 0 {
-			hiddenSchema = make([]string, len(smp.Records[0].Values))
-			for i := range hiddenSchema {
-				hiddenSchema[i] = fmt.Sprintf("col%d", i)
-			}
-		}
-	}
-
-	// Chaos drill: inject deterministic misbehaviour inside the
-	// politeness stack, where a real flaky interface would sit.
-	if req.Faults != "" {
-		p, err := deepweb.ParseFaultProfile(req.Faults)
-		if err != nil {
-			return nil, err
-		}
-		p.Seed = req.FaultSeed
-		searcher = deepweb.NewFaulty(searcher, p).WithObs(o)
-	}
-
-	// Client-side politeness: a token bucket paces the whole crawl below
-	// Rate regardless of Workers, and a retrying layer outside it waits
-	// transient failures out with exponential backoff.
-	if req.Rate > 0 {
-		searcher = &deepweb.Limited{
-			S:   searcher,
-			B:   deepweb.NewBucket(req.Burst, req.Rate),
-			Obs: o,
-		}
-	}
-	if req.Retries > 0 && (req.Rate > 0 || req.Faults != "") {
-		searcher = &deepweb.Retrying{
-			S:       searcher,
-			Retries: req.Retries,
-			Backoff: deepweb.ExponentialBackoff(200*time.Millisecond, 5*time.Second),
-			Obs:     o,
-		}
 	}
 
 	// Entity matching compares the schema-aligned columns: hidden rows
@@ -196,7 +116,6 @@ func Run(req *Request) (*Outcome, error) {
 	}
 	env := &crawler.Env{
 		Local:     local,
-		Searcher:  searcher,
 		Tokenizer: tk,
 		Matcher:   matcher,
 		Obs:       o,
@@ -224,7 +143,6 @@ func Run(req *Request) (*Outcome, error) {
 	)
 	outcome := &Outcome{Local: local, HiddenSchema: hiddenSchema}
 	if req.Checkpoint != "" {
-		var err error
 		sink, err = durable.Open(durable.Options{
 			Snapshot:   req.Checkpoint,
 			Journal:    req.WAL,
@@ -275,24 +193,11 @@ func Run(req *Request) (*Outcome, error) {
 	if batch == 0 {
 		batch = req.Workers
 	}
-	// Graceful degradation defaults: with faults on, failed queries are
-	// retried a few times then forfeited, and a circuit breaker holds
-	// selection while the interface is down.
+	// Graceful degradation: with faults on, failed queries are retried a
+	// few times then forfeited.
 	maxAttempts := req.MaxAttempts
-	anyFedFaults := federate.AnyFaults(fedSpecs)
-	if maxAttempts == 0 && (req.Faults != "" || anyFedFaults) {
+	if maxAttempts == 0 && federate.AnyFaults(specs) {
 		maxAttempts = 3
-	}
-	breakerN := req.Breaker
-	if breakerN < 0 {
-		breakerN = 0
-		if req.Faults != "" {
-			breakerN = 5
-		}
-	}
-	var brk *deepweb.Breaker
-	if breakerN > 0 {
-		brk = deepweb.NewBreaker(deepweb.BreakerConfig{FailureThreshold: breakerN}).WithObs(o)
 	}
 	cfg := crawler.SmartConfig{
 		Resume:        resume,
@@ -301,7 +206,6 @@ func Run(req *Request) (*Outcome, error) {
 		Concurrency:   req.Workers,
 		Shards:        req.Shards,
 		MaxAttempts:   maxAttempts,
-		Breaker:       brk,
 		Context:       req.Context,
 		Deadline:      req.Deadline,
 		QueryTimeout:  req.QueryTimeout,
@@ -326,17 +230,14 @@ func Run(req *Request) (*Outcome, error) {
 		cfg.Durability = sink
 	}
 
-	var (
-		c   crawler.Crawler
-		err error
-	)
+	var c crawler.Crawler
 	switch {
 	case req.TotalBudget && budget == 0 && resume != nil:
 		// Lifetime budget fully settled: nothing to crawl, the recovered
 		// state is the final state. Skip the crawler build (its durability
 		// replay expects rounds to re-issue) and re-derive the outputs.
 		c = doneCrawler{res: resume}
-	case fed != nil:
+	case req.Interfaces != "":
 		cfg.OnlineCalibration = req.Strategy == "online"
 		for _, h := range fed.Ifaces {
 			if h.Sample != nil {
@@ -346,7 +247,7 @@ func Run(req *Request) (*Outcome, error) {
 		}
 		c, err = crawler.NewFederatedSmart(env, cfg, fed.Ifaces)
 	default:
-		c, err = buildSingle(req.Strategy, env, smp, cfg, req.Seed)
+		c, err = buildSingle(req.Strategy, env, fed.Ifaces[0], cfg, req.Seed)
 	}
 	if err != nil {
 		if sink != nil {
@@ -416,9 +317,13 @@ func Run(req *Request) (*Outcome, error) {
 	return outcome, nil
 }
 
-// buildSingle constructs the single-interface crawler for the strategy,
-// mirroring the facade's NewSmartCrawler estimator selection.
-func buildSingle(strategy string, env *crawler.Env, smp *sample.Sample, cfg crawler.SmartConfig, seed uint64) (crawler.Crawler, error) {
+// buildSingle constructs the crawler of a one-interface request for the
+// strategy over the built interface h, mirroring the facade's
+// NewSmartCrawler estimator selection.
+func buildSingle(strategy string, env *crawler.Env, h crawler.Interface, cfg crawler.SmartConfig, seed uint64) (crawler.Crawler, error) {
+	env.Searcher = h.Searcher
+	cfg.Breaker = h.Breaker
+	smp := h.Sample
 	switch strategy {
 	case "smart":
 		cfg.Sample = smp

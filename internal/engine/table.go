@@ -1,35 +1,14 @@
 package engine
 
 import (
-	"fmt"
 	"io"
-	"os"
-	"strings"
 
 	"smartcrawl/internal/relational"
 )
 
 // LoadTable loads a CSV table or, for .jsonl paths, JSON Lines.
 func LoadTable(path, name string) (*relational.Table, error) {
-	return readTable(path, name)
-}
-
-func readTable(path, name string) (*relational.Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var t *relational.Table
-	if strings.HasSuffix(path, ".jsonl") {
-		t, err = relational.ReadJSONL(name, f)
-	} else {
-		t, err = relational.ReadCSV(name, f)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("reading %s: %w", path, err)
-	}
-	return t, nil
+	return relational.ReadFile(path, name)
 }
 
 // WriteTable writes t as CSV, or as JSON Lines when jsonl is set.

@@ -16,7 +16,6 @@ package federate
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -32,9 +31,10 @@ import (
 	"smartcrawl/internal/tokenize"
 )
 
-// Spec describes one interface of a federated crawl — the per-interface
-// half of the smartcrawl CLI flags. Exactly one of Hidden and URL selects
-// the backend.
+// Spec describes one search interface — the per-interface half of the
+// smartcrawl CLI flags. A federated crawl has one Spec per -interfaces
+// entry, a -hidden or -url crawl exactly one. Exactly one of Hidden and
+// URL selects the backend.
 type Spec struct {
 	// Name labels the interface in metrics, traces, and WAL crash specs.
 	// Defaults to h1..hn by position.
@@ -64,8 +64,10 @@ type Spec struct {
 	// sample-free.
 	SampleTarget int
 	// Faults injects deterministic misbehaviour into the interface's
-	// search path: a preset name or key=value pairs joined by '+'
-	// (the ',' separates spec fields).
+	// search path, client-side for a remote interface: a preset name or
+	// deepweb.ParseFaultProfile's comma-joined key=value pairs (the
+	// -interfaces grammar joins them with '+', as ',' separates spec
+	// fields there).
 	Faults string
 	// FaultSeed seeds the fault schedule.
 	FaultSeed uint64
@@ -138,8 +140,7 @@ func ParseSpecs(s string) ([]Spec, error) {
 			case "sample-target":
 				sp.SampleTarget, err = strconv.Atoi(val)
 			case "faults":
-				sp.Faults = val
-				_, err = sp.faultProfile()
+				sp.Faults = strings.ReplaceAll(val, "+", ",")
 			case "fault-seed":
 				sp.FaultSeed, err = strconv.ParseUint(val, 10, 64)
 			case "fault-latency":
@@ -159,8 +160,8 @@ func ParseSpecs(s string) ([]Spec, error) {
 				return nil, fmt.Errorf("federate: spec field %q: %v", field, err)
 			}
 		}
-		if (sp.Hidden == "") == (sp.URL == "") {
-			return nil, fmt.Errorf("federate: spec %q: exactly one of hidden= and url= is required", entry)
+		if err := sp.Validate(); err != nil {
+			return nil, fmt.Errorf("federate: spec %q: %v", entry, err)
 		}
 		specs = append(specs, sp)
 	}
@@ -170,15 +171,51 @@ func ParseSpecs(s string) ([]Spec, error) {
 	return specs, nil
 }
 
-// faultProfile parses the '+'-joined fault spec into a seeded profile.
+// Validate checks the spec's values, each rule once for both request
+// forms: ParseSpecs applies it to every -interfaces entry, and
+// engine.Request.Validate to the one spec of a -hidden or -url crawl.
+func (sp Spec) Validate() error {
+	switch {
+	case (sp.Hidden == "") == (sp.URL == ""):
+		return errors.New("exactly one of hidden= and url= is required")
+	case sp.Hidden != "" && sp.K <= 0:
+		return errors.New("k must be > 0")
+	case !(sp.Theta >= 0 && sp.Theta <= 1):
+		return fmt.Errorf("theta must be in [0, 1] (0 runs sample-free), got %v", sp.Theta)
+	case sp.SampleTarget < 0:
+		return errors.New("sample-target must be >= 0")
+	case sp.Rate > 0 && sp.Burst <= 0:
+		return errors.New("burst must be > 0 when rate > 0")
+	case sp.Retries < 0:
+		return errors.New("retries must be >= 0")
+	case sp.Breaker < 0:
+		return errors.New("breaker must be >= 0")
+	}
+	_, err := sp.faultProfile()
+	return err
+}
+
+// faultProfile parses the fault spec into a seeded profile.
 func (sp Spec) faultProfile() (deepweb.FaultProfile, error) {
-	p, err := deepweb.ParseFaultProfile(strings.ReplaceAll(sp.Faults, "+", ","))
+	p, err := deepweb.ParseFaultProfile(sp.Faults)
 	if err != nil {
 		return p, err
 	}
 	p.Seed = sp.FaultSeed
 	p.Latency = sp.FaultLatency
 	return p, nil
+}
+
+// withFaults wraps s in the spec's fault injector, if it has one.
+func (sp Spec) withFaults(s deepweb.Searcher, o *obs.Obs) (deepweb.Searcher, error) {
+	if sp.Faults == "" {
+		return s, nil
+	}
+	p, err := sp.faultProfile()
+	if err != nil {
+		return nil, fmt.Errorf("federate: interface %q: %w", sp.Name, err)
+	}
+	return deepweb.NewFaulty(s, p).WithObs(o), nil
 }
 
 // BuildBackend materializes the spec's server-side searcher: the
@@ -190,12 +227,12 @@ func (sp Spec) BuildBackend(tk *tokenize.Tokenizer, o *obs.Obs) (deepweb.Searche
 	if sp.Hidden == "" {
 		return nil, nil, fmt.Errorf("federate: interface %q has no hidden table to serve", sp.Name)
 	}
-	table, err := readTable(sp.Hidden)
-	if err != nil {
+	if err := sp.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("federate: interface %q: %w", sp.Name, err)
 	}
-	if sp.K <= 0 {
-		return nil, nil, fmt.Errorf("federate: interface %q: k must be > 0", sp.Name)
+	table, err := relational.ReadFile(sp.Hidden, "hidden")
+	if err != nil {
+		return nil, nil, fmt.Errorf("federate: interface %q: %w", sp.Name, err)
 	}
 	rank := hidden.RankByHash(0x5eed)
 	if sp.RankColumn >= 0 {
@@ -205,13 +242,9 @@ func (sp Spec) BuildBackend(tk *tokenize.Tokenizer, o *obs.Obs) (deepweb.Searche
 	if sp.NonConjunctive {
 		mode = hidden.ModeRanked
 	}
-	var s deepweb.Searcher = hidden.New(table, tk, sp.K, rank, mode)
-	if sp.Faults != "" {
-		p, err := sp.faultProfile()
-		if err != nil {
-			return nil, nil, fmt.Errorf("federate: interface %q: %w", sp.Name, err)
-		}
-		s = deepweb.NewFaulty(s, p).WithObs(o)
+	s, err := sp.withFaults(hidden.New(table, tk, sp.K, rank, mode), o)
+	if err != nil {
+		return nil, nil, err
 	}
 	return s, table, nil
 }
@@ -219,22 +252,24 @@ func (sp Spec) BuildBackend(tk *tokenize.Tokenizer, o *obs.Obs) (deepweb.Searche
 // Build materializes the spec into a live crawler.Interface: backend (or
 // HTTP client), fault injection, client-side rate limiting, retries, the
 // interface's sample, and its circuit breaker. local seeds the keyword
-// sampler of remote interfaces; o (nil ok) observes every layer.
+// sampler of remote interfaces; o (nil ok) observes every layer and times
+// remote sampling as the keyword_sample phase.
 //
-// The composed stack mirrors the single-interface CLI, innermost first:
-// backend → Faulty → Limited → Retrying, with the Breaker handed to the
-// crawl loop's allocator rather than wrapped around the searcher (an
-// open breaker diverts the round to the next-ranked interface instead of
-// failing its queries).
+// Every crawl's interfaces are built here: engine.Run builds a -hidden or
+// -url crawl as the one-interface federation of its spec. The composed
+// stack, innermost first, is backend → Faulty → Limited → Retrying; a
+// remote interface is probed and sampled through the bare client, before
+// its faults are injected client-side. The Breaker is handed to the crawl
+// loop rather than wrapped around the searcher (an open breaker diverts
+// the round to the next-ranked interface instead of failing its queries).
 func (sp Spec) Build(local *relational.Table, tk *tokenize.Tokenizer, o *obs.Obs) (crawler.Interface, *relational.Table, error) {
 	var (
-		h     crawler.Interface
+		h     = crawler.Interface{Name: sp.Name}
 		table *relational.Table
 		s     deepweb.Searcher
+		err   error
 	)
-	h.Name = sp.Name
 	if sp.Hidden != "" {
-		var err error
 		s, table, err = sp.BuildBackend(tk, o)
 		if err != nil {
 			return h, nil, err
@@ -243,6 +278,9 @@ func (sp Spec) Build(local *relational.Table, tk *tokenize.Tokenizer, o *obs.Obs
 			h.Sample = sample.Bernoulli(table, sp.Theta, stats.NewRNG(sp.Seed))
 		}
 	} else {
+		// The client deliberately carries no crawl context: graceful
+		// shutdown drains in-flight queries (their results are absorbed
+		// and journaled), it does not abort them mid-request.
 		client := &httpapi.Client{BaseURL: sp.URL, Retries: 5}
 		pool := sample.SingleKeywordPool(local, tk)
 		if len(pool) == 0 {
@@ -252,23 +290,29 @@ func (sp Spec) Build(local *relational.Table, tk *tokenize.Tokenizer, o *obs.Obs
 			return h, nil, fmt.Errorf("federate: interface %q: probing %s: %w", sp.Name, sp.URL, err)
 		}
 		if sp.SampleTarget > 0 {
+			stop := o.Phase("keyword_sample")
 			smp, err := sample.Keyword(client, pool, tk, sample.KeywordConfig{
 				Target: sp.SampleTarget, Seed: sp.Seed,
 			})
+			stop()
 			if err != nil {
 				// An exhausted allowance still yields a usable partial
-				// sample (its Theta reflects what was drawn) — same
-				// tolerance as the single-interface -url path, which
-				// warns and proceeds. Anything else, or an empty
-				// sample, is a real failure.
+				// sample (its Theta reflects what was drawn; engine.Run
+				// logs the shortfall for a -url crawl). Anything else,
+				// or an empty sample, is a real failure.
 				if !errors.Is(err, sample.ErrSampleBudget) || smp == nil || smp.Len() == 0 {
 					return h, nil, fmt.Errorf("federate: interface %q: sampling: %w", sp.Name, err)
 				}
 			}
 			h.Sample = smp
 		}
-		s = client
+		if s, err = sp.withFaults(client, o); err != nil {
+			return h, nil, err
+		}
 	}
+	// Client-side politeness: the token bucket paces the interface below
+	// Rate whatever the worker count, and the retrying layer outside it
+	// waits transient failures out with exponential backoff.
 	if sp.Rate > 0 {
 		s = &deepweb.Limited{S: s, B: deepweb.NewBucket(sp.Burst, sp.Rate), Obs: o}
 	}
@@ -322,10 +366,9 @@ func BuildAll(specs []Spec, local *relational.Table, tk *tokenize.Tokenizer, o *
 }
 
 // HiddenSchema returns the first CSV-backed interface's schema — the
-// enrichment schema of a federated crawl. When every backend is remote
-// the schema is synthesized as col0..colN from the first sampled
-// interface (the same fallback the single-interface -url path uses);
-// nil when no interface exposes even a sample.
+// enrichment schema of the crawl. When every backend is remote the schema
+// is synthesized as col0..colN from the first sampled interface; nil when
+// no interface exposes even a sample.
 func (f *Federation) HiddenSchema() []string {
 	for _, t := range f.Tables {
 		if t != nil {
@@ -361,17 +404,4 @@ func AnyFaults(specs []Spec) bool {
 		}
 	}
 	return false
-}
-
-// readTable loads CSV or, for .jsonl paths, JSON Lines.
-func readTable(path string) (*relational.Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return relational.ReadJSONL("hidden", f)
-	}
-	return relational.ReadCSV("hidden", f)
 }

@@ -1,6 +1,7 @@
 package federate_test
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"smartcrawl/internal/deepweb"
 	"smartcrawl/internal/deepweb/httpapi"
 	"smartcrawl/internal/federate"
+	"smartcrawl/internal/fixture"
 	"smartcrawl/internal/hidden"
 	"smartcrawl/internal/relational"
 	"smartcrawl/internal/sample"
@@ -40,7 +42,7 @@ func TestParseSpecs(t *testing.T) {
 		t.Errorf("spec a lost its defaults: %+v", a)
 	}
 	if b.Name != "b" || b.URL != "http://h" || b.SampleTarget != 50 ||
-		b.Faults != "timeout=0.05+truncate=0.1" || b.FaultSeed != 3 ||
+		b.Faults != "timeout=0.05,truncate=0.1" || b.FaultSeed != 3 ||
 		b.FaultLatency != 10*time.Millisecond || b.Rate != 5 || b.Burst != 2 ||
 		b.Retries != 3 || b.Breaker != 4 {
 		t.Errorf("spec b parsed wrong: %+v", b)
@@ -58,10 +60,54 @@ func TestParseSpecsRejects(t *testing.T) {
 		"hidden=a.csv,k=ten",                 // bad int
 		"hidden=a.csv,faults=no-such",        // bad fault grammar, caught at parse
 		"hidden=a.csv,fault-latency=forever", // bad duration
+		// One row per Spec.Validate value rule.
+		"hidden=a.csv,k=0",              // k must be > 0 for a simulated backend
+		"hidden=a.csv,theta=1.5",        // theta above 1
+		"hidden=a.csv,theta=-0.1",       // theta below 0
+		"url=http://x,sample-target=-1", // negative sample target
+		"hidden=a.csv,rate=5,burst=0",   // a paced interface needs a burst
+		"hidden=a.csv,retries=-1",       // negative retries
+		"hidden=a.csv,breaker=-1",       // negative breaker threshold
 	} {
 		if _, err := federate.ParseSpecs(bad); err == nil {
 			t.Errorf("ParseSpecs(%q) accepted", bad)
 		}
+	}
+	// The bounds themselves stay valid: theta 0 and sample-target 0 run
+	// the interface sample-free, and a remote interface reports its own k.
+	for _, ok := range []string{
+		"hidden=a.csv,theta=0",
+		"hidden=a.csv,theta=1",
+		"url=http://x,sample-target=0,k=0",
+		"hidden=a.csv,burst=0",
+	} {
+		if _, err := federate.ParseSpecs(ok); err != nil {
+			t.Errorf("ParseSpecs(%q) = %v, want it accepted", ok, err)
+		}
+	}
+}
+
+// TestRemoteFaultsInjected: faults= on a url= interface is injected on
+// the client side, after the interface is sampled through the bare
+// client — so the sample is drawn, and then every search fails.
+func TestRemoteFaultsInjected(t *testing.T) {
+	u := fixture.New()
+	srv := httptest.NewServer(httpapi.NewServer(u.DB, u.Tokenizer, nil).Handler())
+	defer srv.Close()
+	specs, err := federate.ParseSpecs("url=" + srv.URL + ",sample-target=2,faults=unavailable=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := federate.BuildAll(specs, u.Local, tokenize.New(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fed.Ifaces[0]
+	if h.Sample == nil || h.Sample.Len() == 0 {
+		t.Fatal("the faulted remote interface was not sampled through the bare client")
+	}
+	if _, err := h.Searcher.Search(deepweb.Query{"thai"}); !errors.Is(err, deepweb.ErrUnavailable) {
+		t.Fatalf("first search error = %v, want the injected %v", err, deepweb.ErrUnavailable)
 	}
 }
 

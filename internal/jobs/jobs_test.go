@@ -313,6 +313,11 @@ func TestSubmitValidation(t *testing.T) {
 			sp.Hidden = ""
 			sp.Interfaces = "name=a,hidden=" + hiddenPath
 		}, "allow-local-backends"},
+		// Admitted, this remote job would panic its worker (and, re-queued
+		// by the restart scan, every later one) building the matcher.
+		{"fuzzy above one", mNoLocal, func(sp *Spec) {
+			sp.Hidden, sp.URL, sp.Fuzzy = "", "http://localhost:1", 2
+		}, "Fuzzy must be in [0, 1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"smartcrawl/internal/tokenize"
@@ -120,6 +121,26 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// ReadFile loads a table from a CSV file or, for .jsonl paths, from JSON
+// Lines.
+func ReadFile(path, name string) (*Table, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var t *Table
+	if strings.HasSuffix(path, ".jsonl") {
+		t, err = ReadJSONL(name, f)
+	} else {
+		t, err = ReadCSV(name, f)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	return t, nil
 }
 
 // ReadCSV reads a table (header row first) from r.

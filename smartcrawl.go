@@ -43,7 +43,6 @@ import (
 	"smartcrawl/internal/engine"
 	"smartcrawl/internal/enrich"
 	"smartcrawl/internal/estimator"
-	"smartcrawl/internal/federate"
 	"smartcrawl/internal/hidden"
 	"smartcrawl/internal/match"
 	"smartcrawl/internal/obs"
@@ -139,11 +138,6 @@ type (
 	// passed to NewFederatedCrawler is the interface's ID in steps,
 	// checkpoints, and the WAL.
 	FederatedInterface = crawler.Interface
-	// InterfaceSpec is the parsed CLI description of one federated
-	// interface (see ParseInterfaceSpecs).
-	InterfaceSpec = federate.Spec
-	// Federation is a materialized interface set (see BuildInterfaces).
-	Federation = federate.Federation
 	// HealthConfig tunes per-interface health scoring in federated crawls
 	// (SmartOptions.Health); DefaultHealthConfig returns the tuned
 	// defaults.
@@ -408,22 +402,6 @@ func NewSmartCrawler(env *Env, opts SmartOptions) (Crawler, error) {
 	return crawler.NewSmart(env, cfg)
 }
 
-// ParseInterfaceSpecs parses the -interfaces CLI grammar — specs
-// separated by ';', key=value fields separated by ',' — into one
-// InterfaceSpec per federated interface. See internal/federate for the
-// full key list.
-func ParseInterfaceSpecs(s string) ([]InterfaceSpec, error) {
-	return federate.ParseSpecs(s)
-}
-
-// BuildInterfaces materializes interface specs into live handles:
-// simulated or HTTP backends, fault injection, client-side rate
-// limiting, retries, per-interface samples and breakers. local seeds the
-// keyword sampler of remote interfaces; o may be nil.
-func BuildInterfaces(specs []InterfaceSpec, local *Table, tk *Tokenizer, o *Obs) (*Federation, error) {
-	return federate.BuildAll(specs, local, tk, o)
-}
-
 // NewFederatedCrawler builds SMARTCRAWL over a set of interfaces H1..Hn
 // sharing one global budget: each selection round goes to the interface
 // whose best unissued query promises the largest marginal estimated
@@ -513,15 +491,6 @@ func NewRetryingSearcher(s Searcher, retries int, base, max time.Duration) Searc
 		Retries: retries,
 		Backoff: deepweb.ExponentialBackoff(base, max),
 	}
-}
-
-// NewRateLimitedSearcher wraps a Searcher with a client-side token bucket
-// (capacity tokens, refilled at refillPerSec) so a multi-worker crawl
-// never exceeds the polite request rate, whatever SmartOptions.Workers is
-// set to. A throttled request fails fast with a transient error; compose
-// with NewRetryingSearcher (outside) to wait out the refill with backoff.
-func NewRateLimitedSearcher(s Searcher, capacity int, refillPerSec float64) Searcher {
-	return &deepweb.Limited{S: s, B: deepweb.NewBucket(capacity, refillPerSec)}
 }
 
 // ParseFaultProfile turns a CLI fault spec — a preset name (none, mild,
