@@ -124,7 +124,7 @@ func main() {
 			mux.Handle("/"+sp.Name+"/", http.StripPrefix("/"+sp.Name, psrv.Handler()))
 			fmt.Printf("profile %s: %d records (k=%d) at /%s/", sp.Name, table.Len(), sp.K, sp.Name)
 			if sp.Faults != "" {
-				fmt.Printf(" faults=%s seed=%d", sp.Faults, sp.FaultSeed)
+				fmt.Printf(" faults=%s seed=%d", strings.ReplaceAll(sp.Faults, ",", "+"), sp.FaultSeed)
 			}
 			fmt.Println()
 		}
