@@ -1,6 +1,7 @@
 package smartcrawl_test
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -82,4 +83,53 @@ func ExampleTokenizer_stemming() {
 	fmt.Println(tk.Tokens("crawling hidden databases"))
 	// Output:
 	// [crawl hidden databas]
+}
+
+// ExampleParseTrace traces a crawl, reads the trace back, and prints each
+// query's estimated benefit beside the coverage it realized.
+func ExampleParseTrace() {
+	tk := smartcrawl.NewTokenizer()
+
+	hidden := smartcrawl.NewTable("yelp", []string{"name", "rating"})
+	hidden.Append("Thai Noodle House", "4.0")
+	hidden.Append("Saigon Ramen", "3.9")
+	hidden.Append("Steak House", "4.3")
+	db := smartcrawl.NewHiddenDatabase(hidden, tk, smartcrawl.HiddenOptions{K: 2, RankColumn: 1})
+
+	local := smartcrawl.NewTable("mine", []string{"name"})
+	local.Append("Thai Noodle House")
+	local.Append("Saigon Ramen")
+
+	var trace bytes.Buffer
+	o := smartcrawl.NewObs()
+	o.SetTracer(smartcrawl.NewTracer(&trace))
+	env := &smartcrawl.Env{
+		Local:     local,
+		Searcher:  db,
+		Tokenizer: tk,
+		Matcher:   smartcrawl.NewExactMatcherOn(tk, nil, []int{0}),
+		Obs:       o,
+	}
+	c, err := smartcrawl.NewSmartCrawler(env, smartcrawl.SmartOptions{
+		Sample: smartcrawl.BernoulliSample(hidden, 0.5, 1),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := c.Run(2); err != nil {
+		log.Fatal(err)
+	}
+
+	events, err := smartcrawl.ParseTrace(&trace)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, e := range events {
+		if e.Type == "query" {
+			fmt.Printf("%q est=%.1f new=%d cum=%d\n", e.Query, e.EstBenefit, e.NewCovered, e.CumCovered)
+		}
+	}
+	// Output:
+	// "house noodle thai" est=1.0 new=1 cum=1
+	// "ramen saigon" est=1.0 new=1 cum=2
 }

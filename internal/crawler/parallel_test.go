@@ -11,6 +11,7 @@ import (
 	"smartcrawl/internal/obs"
 	"smartcrawl/internal/sample"
 	"smartcrawl/internal/stats"
+	"smartcrawl/internal/trace"
 )
 
 // queryLog flattens the issued-query trace into one string so worker-count
@@ -105,9 +106,9 @@ func TestTracingDeterministic(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4, 16} {
 			plain := run(workers, nil)
-			var trace bytes.Buffer
+			var traceBuf bytes.Buffer
 			o := obs.New()
-			o.SetTracer(obs.NewTracer(&trace))
+			o.SetTracer(obs.NewTracer(&traceBuf))
 			traced := run(workers, o)
 
 			if a, b := queryLog(plain), queryLog(traced); a != b {
@@ -130,11 +131,11 @@ func TestTracingDeterministic(t *testing.T) {
 			}
 			// …and the trace must replay it: one query event per step, in
 			// absorb order, with matching keys and coverage deltas.
-			events, err := obs.ParseEvents(bytes.NewReader(trace.Bytes()))
+			events, err := trace.Parse(bytes.NewReader(traceBuf.Bytes()))
 			if err != nil {
 				t.Fatalf("seed %d workers %d: trace not parseable: %v", seed, workers, err)
 			}
-			var queries []obs.Event
+			var queries []trace.Event
 			for _, e := range events {
 				if e.Type == obs.EventQuery {
 					queries = append(queries, e)

@@ -264,11 +264,8 @@ func (o *Obs) QueryIface(iface, q string, est float64, resultSize, newCovered, c
 	o.BenefitReal.Add(float64(newCovered))
 	o.BenefitAbsErr.Add(math.Abs(est - float64(newCovered)))
 	if t := o.tracer.Load(); t != nil {
-		if iface == "" {
-			t.query(q, est, resultSize, newCovered, cumCovered, solid)
-		} else {
-			t.queryIface(iface, q, est, resultSize, newCovered, cumCovered, solid)
-		}
+		t.emit(EventQuery, &queryEvent{Query: q, EstBenefit: est, ResultSize: resultSize,
+			NewCovered: newCovered, CumCovered: cumCovered, Solid: solid, Iface: iface})
 	}
 }
 
@@ -281,7 +278,7 @@ func (o *Obs) Alloc(iface string, benefit float64, budgetLeft int) {
 	}
 	o.Allocs.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.alloc(iface, benefit, budgetLeft)
+		t.emit(EventAlloc, &allocEvent{Iface: iface, EstBenefit: benefit, BudgetLeft: budgetLeft})
 	}
 }
 
@@ -297,7 +294,7 @@ func (o *Obs) SearchServed(q string, resultSize int, solid bool) {
 		o.SolidQueries.Inc()
 	}
 	if t := o.tracer.Load(); t != nil {
-		t.query(q, 0, resultSize, 0, 0, solid)
+		t.emit(EventQuery, &queryEvent{Query: q, ResultSize: resultSize, Solid: solid})
 	}
 }
 
@@ -310,7 +307,7 @@ func (o *Obs) Round(n, budgetLeft int) {
 	o.Rounds.Inc()
 	o.Dispatched.Add(int64(n))
 	if t := o.tracer.Load(); t != nil {
-		t.round(n, budgetLeft)
+		t.emit(EventRound, &roundEvent{Size: n, BudgetLeft: budgetLeft})
 	}
 }
 
@@ -336,12 +333,8 @@ func (o *Obs) Retry(q string, attempt int, wait time.Duration, cause error) {
 	if attempt == 1 {
 		o.RetriedCalls.Inc()
 	}
-	msg := ""
-	if cause != nil {
-		msg = cause.Error()
-	}
 	if t := o.tracer.Load(); t != nil {
-		t.retry(q, attempt, wait, msg)
+		t.emit(EventRetry, &retryEvent{Query: q, Attempt: attempt, WaitMs: wait.Milliseconds(), Err: errMsg(cause)})
 	}
 }
 
@@ -354,7 +347,7 @@ func (o *Obs) RateLimitDenied(q string, tokens float64) {
 	o.RateLimited.Inc()
 	o.BucketTokens.Set(int64(tokens * 1000))
 	if t := o.tracer.Load(); t != nil {
-		t.rateLimit(q, tokens)
+		t.emit(EventRateLimit, &rateLimitEvent{Query: q, Tokens: tokens})
 	}
 }
 
@@ -372,7 +365,7 @@ func (o *Obs) FaultInjected(q, class string, attempt int) {
 	o.faultBy[class]++
 	o.faultMu.Unlock()
 	if t := o.tracer.Load(); t != nil {
-		t.fault(q, class, attempt)
+		t.emit(EventFault, &faultEvent{Query: q, Class: class, Attempt: attempt})
 	}
 }
 
@@ -408,7 +401,7 @@ func (o *Obs) BreakerTransition(from, to string, failures int) {
 		o.BreakerState.Set(2)
 	}
 	if t := o.tracer.Load(); t != nil {
-		t.breaker(from, to, failures)
+		t.emit(EventBreaker, &breakerEvent{From: from, To: to, Failures: failures})
 	}
 }
 
@@ -420,7 +413,7 @@ func (o *Obs) Requeued(q string, attempt int, cause error) {
 	}
 	o.Requeues.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.requeue(q, attempt, errMsg(cause))
+		t.emit(EventRequeue, &requeueEvent{Query: q, Attempt: attempt, Err: errMsg(cause)})
 	}
 }
 
@@ -432,7 +425,7 @@ func (o *Obs) Forfeited(q string, attempts int, cause error) {
 	}
 	o.Forfeits.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.forfeit(q, attempts, errMsg(cause))
+		t.emit(EventForfeit, &requeueEvent{Query: q, Attempt: attempts, Err: errMsg(cause)})
 	}
 }
 
@@ -446,7 +439,7 @@ func (o *Obs) DeadlineForfeited(q string, attempts int) {
 	}
 	o.DeadlineForfeits.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.deadlineForfeit(q, attempts)
+		t.emit(EventDeadlineForfeit, &deadlineForfeitEvent{Query: q, Attempt: attempts})
 	}
 }
 
@@ -469,7 +462,7 @@ func (o *Obs) Health(iface string, score float64, probe bool) {
 		return
 	}
 	if t := o.tracer.Load(); t != nil {
-		t.health(iface, score, probe)
+		t.emit(EventHealth, &healthEvent{Iface: iface, Score: score, Probe: probe})
 	}
 }
 
@@ -508,7 +501,7 @@ func (o *Obs) Checkpoint(path string, covered, queries int) {
 	}
 	o.Checkpoints.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.checkpoint(path, covered, queries)
+		t.emit(EventCheckpoint, &checkpointEvent{Path: path, Covered: covered, Queries: queries})
 	}
 }
 
@@ -522,7 +515,7 @@ func (o *Obs) WalAppend(kind string, walSeq uint64, bytes int) {
 	o.WalAppends.Inc()
 	o.WalBytes.Add(int64(bytes))
 	if t := o.tracer.Load(); t != nil {
-		t.walAppend(kind, walSeq, bytes)
+		t.emit(EventWalAppend, &walAppendEvent{Kind: kind, WalSeq: walSeq, Bytes: bytes})
 	}
 }
 
@@ -553,7 +546,8 @@ func (o *Obs) Recovered(path string, records, covered, queries int, walSeq uint6
 	}
 	o.Recoveries.Inc()
 	if t := o.tracer.Load(); t != nil {
-		t.recovered(path, records, covered, queries, walSeq, torn)
+		t.emit(EventRecovered, &recoveredEvent{Path: path, Records: records, Covered: covered,
+			Queries: queries, WalSeq: walSeq, Torn: torn})
 	}
 }
 
@@ -598,7 +592,7 @@ func (o *Obs) Phase(name string) func() {
 		o.phaseDur[name] += d
 		o.mu.Unlock()
 		if t := o.tracer.Load(); t != nil {
-			t.phase(name, d)
+			t.emit(EventPhase, &phaseEvent{Phase: name, DurMs: d.Milliseconds()})
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"sync"
@@ -91,92 +90,48 @@ const (
 	EventHealth = "health"
 )
 
-// Event is the union wire format of one trace line, for consumers reading
-// traces back (ParseEvents). Producers emit per-type structs so that each
-// event carries exactly its own fields, always in the same order.
-type Event struct {
-	Seq        uint64  `json:"seq"`
-	TMs        int64   `json:"t_ms"`
-	Type       string  `json:"type"`
-	Query      string  `json:"query,omitempty"`
-	EstBenefit float64 `json:"est_benefit,omitempty"`
-	ResultSize int     `json:"result_size,omitempty"`
-	NewCovered int     `json:"new_covered,omitempty"`
-	CumCovered int     `json:"cum_covered,omitempty"`
-	Solid      bool    `json:"solid,omitempty"`
-	Size       int     `json:"size,omitempty"`
-	BudgetLeft int     `json:"budget_left,omitempty"`
-	Attempt    int     `json:"attempt,omitempty"`
-	WaitMs     int64   `json:"wait_ms,omitempty"`
-	Tokens     float64 `json:"tokens,omitempty"`
-	Err        string  `json:"err,omitempty"`
-	Phase      string  `json:"phase,omitempty"`
-	DurMs      int64   `json:"dur_ms,omitempty"`
-	Path       string  `json:"path,omitempty"`
-	Covered    int     `json:"covered,omitempty"`
-	Queries    int     `json:"queries,omitempty"`
-	Class      string  `json:"class,omitempty"`
-	From       string  `json:"from,omitempty"`
-	To         string  `json:"to,omitempty"`
-	Failures   int     `json:"failures,omitempty"`
-	Kind       string  `json:"kind,omitempty"`
-	WalSeq     uint64  `json:"wal_seq,omitempty"`
-	Bytes      int     `json:"bytes,omitempty"`
-	Records    int     `json:"records,omitempty"`
-	Torn       bool    `json:"torn,omitempty"`
-	Iface      string  `json:"iface,omitempty"`
-	Score      float64 `json:"score,omitempty"`
-	Probe      bool    `json:"probe,omitempty"`
-}
-
-// ParseEvents decodes a JSONL trace back into events — the consumer side
-// of the schema, used by tests and analysis tooling.
-func ParseEvents(r io.Reader) ([]Event, error) {
-	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return events, err
-		}
-		events = append(events, e)
-	}
-	return events, sc.Err()
-}
-
 // Per-type wire structs. Field order here IS the schema: encoding/json
-// marshals struct fields in declaration order, and the golden-file test
-// pins these bytes.
+// marshals struct fields in declaration order, writing an embedded
+// struct's fields inline in its place, and the golden-file test pins
+// these bytes.
 
+// envelope opens every trace line; emit stamps it.
+type envelope struct {
+	Seq  uint64 `json:"seq"`
+	TMs  int64  `json:"t_ms"`
+	Type string `json:"type"`
+}
+
+func (e *envelope) stamp(seq uint64, tms int64, typ string) {
+	e.Seq, e.TMs, e.Type = seq, tms, typ
+}
+
+// event is a pointer to a wire struct, which embeds envelope.
+type event interface {
+	stamp(seq uint64, tms int64, typ string)
+}
+
+// queryEvent is one absorbed query. Iface tags the issuing interface of
+// a federated crawl; untagged single-interface traces omit it.
 type queryEvent struct {
-	Seq        uint64  `json:"seq"`
-	TMs        int64   `json:"t_ms"`
-	Type       string  `json:"type"`
+	envelope
 	Query      string  `json:"query"`
 	EstBenefit float64 `json:"est_benefit"`
 	ResultSize int     `json:"result_size"`
 	NewCovered int     `json:"new_covered"`
 	CumCovered int     `json:"cum_covered"`
 	Solid      bool    `json:"solid"`
+	Iface      string  `json:"iface,omitempty"`
 }
 
 type roundEvent struct {
-	Seq        uint64 `json:"seq"`
-	TMs        int64  `json:"t_ms"`
-	Type       string `json:"type"`
-	Size       int    `json:"size"`
-	BudgetLeft int    `json:"budget_left"`
+	envelope
+	Size       int `json:"size"`
+	BudgetLeft int `json:"budget_left"`
 }
 
 type retryEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
+	envelope
 	Query   string `json:"query"`
 	Attempt int    `json:"attempt"`
 	WaitMs  int64  `json:"wait_ms"`
@@ -184,43 +139,33 @@ type retryEvent struct {
 }
 
 type rateLimitEvent struct {
-	Seq    uint64  `json:"seq"`
-	TMs    int64   `json:"t_ms"`
-	Type   string  `json:"type"`
+	envelope
 	Query  string  `json:"query"`
 	Tokens float64 `json:"tokens"`
 }
 
 type checkpointEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
+	envelope
 	Path    string `json:"path"`
 	Covered int    `json:"covered"`
 	Queries int    `json:"queries"`
 }
 
 type phaseEvent struct {
-	Seq   uint64 `json:"seq"`
-	TMs   int64  `json:"t_ms"`
-	Type  string `json:"type"`
+	envelope
 	Phase string `json:"phase"`
 	DurMs int64  `json:"dur_ms"`
 }
 
 type faultEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
+	envelope
 	Query   string `json:"query"`
 	Class   string `json:"class"`
 	Attempt int    `json:"attempt"`
 }
 
 type breakerEvent struct {
-	Seq      uint64 `json:"seq"`
-	TMs      int64  `json:"t_ms"`
-	Type     string `json:"type"`
+	envelope
 	From     string `json:"from"`
 	To       string `json:"to"`
 	Failures int    `json:"failures"`
@@ -229,9 +174,7 @@ type breakerEvent struct {
 // requeueEvent doubles as the forfeit event: same shape, different type
 // tag (a forfeit's Attempt is the total dispatch count it burned).
 type requeueEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
+	envelope
 	Query   string `json:"query"`
 	Attempt int    `json:"attempt"`
 	Err     string `json:"err,omitempty"`
@@ -239,9 +182,7 @@ type requeueEvent struct {
 
 // walAppendEvent traces one record appended to the write-ahead journal.
 type walAppendEvent struct {
-	Seq    uint64 `json:"seq"`
-	TMs    int64  `json:"t_ms"`
-	Type   string `json:"type"`
+	envelope
 	Kind   string `json:"kind"`
 	WalSeq uint64 `json:"wal_seq"`
 	Bytes  int    `json:"bytes"`
@@ -250,9 +191,7 @@ type walAppendEvent struct {
 // recoveredEvent traces one crash recovery: how much state came back from
 // the snapshot + journal, and whether a torn tail record was discarded.
 type recoveredEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
+	envelope
 	Path    string `json:"path"`
 	Records int    `json:"records"`
 	Covered int    `json:"covered"`
@@ -261,28 +200,10 @@ type recoveredEvent struct {
 	Torn    bool   `json:"torn"`
 }
 
-// queryIfaceEvent is queryEvent tagged with the issuing interface of a
-// federated crawl; untagged single-interface traces keep the queryEvent
-// shape byte-for-byte.
-type queryIfaceEvent struct {
-	Seq        uint64  `json:"seq"`
-	TMs        int64   `json:"t_ms"`
-	Type       string  `json:"type"`
-	Query      string  `json:"query"`
-	EstBenefit float64 `json:"est_benefit"`
-	ResultSize int     `json:"result_size"`
-	NewCovered int     `json:"new_covered"`
-	CumCovered int     `json:"cum_covered"`
-	Solid      bool    `json:"solid"`
-	Iface      string  `json:"iface"`
-}
-
 // allocEvent traces one federated budget allocation: which interface won
 // the round and under what top estimated benefit.
 type allocEvent struct {
-	Seq        uint64  `json:"seq"`
-	TMs        int64   `json:"t_ms"`
-	Type       string  `json:"type"`
+	envelope
 	Iface      string  `json:"iface"`
 	EstBenefit float64 `json:"est_benefit"`
 	BudgetLeft int     `json:"budget_left"`
@@ -292,9 +213,7 @@ type allocEvent struct {
 // Attempt field is the total dispatch count the query burned, matching the
 // generic forfeit event emitted alongside it.
 type deadlineForfeitEvent struct {
-	Seq     uint64 `json:"seq"`
-	TMs     int64  `json:"t_ms"`
-	Type    string `json:"type"`
+	envelope
 	Query   string `json:"query"`
 	Attempt int    `json:"attempt"`
 }
@@ -302,119 +221,22 @@ type deadlineForfeitEvent struct {
 // healthEvent traces one interface health-score movement (score in [0,1])
 // or, with Probe set, a recovery-probe round granted while degraded.
 type healthEvent struct {
-	Seq   uint64  `json:"seq"`
-	TMs   int64   `json:"t_ms"`
-	Type  string  `json:"type"`
+	envelope
 	Iface string  `json:"iface"`
 	Score float64 `json:"score"`
 	Probe bool    `json:"probe,omitempty"`
 }
 
-func (t *Tracer) query(q string, est float64, resultSize, newCovered, cumCovered int, solid bool) {
-	t.emit(func(seq uint64, tms int64) any {
-		return queryEvent{seq, tms, EventQuery, q, est, resultSize, newCovered, cumCovered, solid}
-	})
-}
-
-func (t *Tracer) queryIface(iface, q string, est float64, resultSize, newCovered, cumCovered int, solid bool) {
-	t.emit(func(seq uint64, tms int64) any {
-		return queryIfaceEvent{seq, tms, EventQuery, q, est, resultSize, newCovered, cumCovered, solid, iface}
-	})
-}
-
-func (t *Tracer) alloc(iface string, benefit float64, budgetLeft int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return allocEvent{seq, tms, EventAlloc, iface, benefit, budgetLeft}
-	})
-}
-
-func (t *Tracer) round(size, budgetLeft int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return roundEvent{seq, tms, EventRound, size, budgetLeft}
-	})
-}
-
-func (t *Tracer) retry(q string, attempt int, wait time.Duration, errMsg string) {
-	t.emit(func(seq uint64, tms int64) any {
-		return retryEvent{seq, tms, EventRetry, q, attempt, wait.Milliseconds(), errMsg}
-	})
-}
-
-func (t *Tracer) rateLimit(q string, tokens float64) {
-	t.emit(func(seq uint64, tms int64) any {
-		return rateLimitEvent{seq, tms, EventRateLimit, q, tokens}
-	})
-}
-
-func (t *Tracer) checkpoint(path string, covered, queries int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return checkpointEvent{seq, tms, EventCheckpoint, path, covered, queries}
-	})
-}
-
-func (t *Tracer) phase(name string, d time.Duration) {
-	t.emit(func(seq uint64, tms int64) any {
-		return phaseEvent{seq, tms, EventPhase, name, d.Milliseconds()}
-	})
-}
-
-func (t *Tracer) fault(q, class string, attempt int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return faultEvent{seq, tms, EventFault, q, class, attempt}
-	})
-}
-
-func (t *Tracer) breaker(from, to string, failures int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return breakerEvent{seq, tms, EventBreaker, from, to, failures}
-	})
-}
-
-func (t *Tracer) requeue(q string, attempt int, errMsg string) {
-	t.emit(func(seq uint64, tms int64) any {
-		return requeueEvent{seq, tms, EventRequeue, q, attempt, errMsg}
-	})
-}
-
-func (t *Tracer) forfeit(q string, attempts int, errMsg string) {
-	t.emit(func(seq uint64, tms int64) any {
-		return requeueEvent{seq, tms, EventForfeit, q, attempts, errMsg}
-	})
-}
-
-func (t *Tracer) deadlineForfeit(q string, attempts int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return deadlineForfeitEvent{seq, tms, EventDeadlineForfeit, q, attempts}
-	})
-}
-
-func (t *Tracer) health(iface string, score float64, probe bool) {
-	t.emit(func(seq uint64, tms int64) any {
-		return healthEvent{seq, tms, EventHealth, iface, score, probe}
-	})
-}
-
-func (t *Tracer) walAppend(kind string, walSeq uint64, bytes int) {
-	t.emit(func(seq uint64, tms int64) any {
-		return walAppendEvent{seq, tms, EventWalAppend, kind, walSeq, bytes}
-	})
-}
-
-func (t *Tracer) recovered(path string, records, covered, queries int, walSeq uint64, torn bool) {
-	t.emit(func(seq uint64, tms int64) any {
-		return recoveredEvent{seq, tms, EventRecovered, path, records, covered, queries, walSeq, torn}
-	})
-}
-
-// emit assigns the sequence number and timestamp under the lock, so trace
-// lines are totally ordered even when workers race.
-func (t *Tracer) emit(build func(seq uint64, tms int64) any) {
+// emit stamps the event's envelope with the next sequence number, the
+// time and typ under the lock, so trace lines are totally ordered even
+// when workers race.
+func (t *Tracer) emit(typ string, e event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.err != nil {
 		return
 	}
-	e := build(t.seq, t.now().UnixMilli())
+	e.stamp(t.seq, t.now().UnixMilli(), typ)
 	t.seq++
 	b, err := json.Marshal(e)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"smartcrawl/internal/obs"
 )
 
 // Summary condenses one trace into the numbers an operator asks first:
@@ -18,7 +20,7 @@ type Summary struct {
 	Rounds       int            // selection rounds
 	FinalBudget  int            // budget_left of the last round (-1 = unlimited, 0 rounds ⇒ 0)
 	HasBudget    bool           // a round event was seen
-	Ifaces       []string       // interface names on tagged query/alloc events, sorted
+	Ifaces       []string       // interface names on tagged events, sorted
 	Retries      int
 	RateLimited  int
 	Faults       int
@@ -34,7 +36,7 @@ type Summary struct {
 	AbsErrSum    float64 // sum of |est − realized|
 	WallMs       int64   // t_ms span from first to last event
 	PhaseMs      map[string]int64
-	Unknown      int // events with an undocumented type tag
+	Unknown      int // events whose type is not in KnownTypes
 }
 
 // MAE returns the mean absolute estimate error per query, or 0 with no
@@ -58,60 +60,58 @@ func Summarize(events []Event) Summary {
 		e := &events[i]
 		s.Events++
 		s.ByType[e.Type]++
-		switch d := e.Data.(type) {
-		case *Query:
+		if e.Unknown() {
+			s.Unknown++
+			continue
+		}
+		switch e.Type {
+		case obs.EventQuery:
 			s.Queries++
-			if d.Solid {
+			if e.Solid {
 				s.Solid++
 			}
-			if d.CumCovered > s.Covered {
-				s.Covered = d.CumCovered
+			if e.CumCovered > s.Covered {
+				s.Covered = e.CumCovered
 			}
-			if d.Iface != "" {
-				ifaces[d.Iface] = true
-			}
-			s.EstSum += d.EstBenefit
-			s.RealSum += float64(d.NewCovered)
-			s.AbsErrSum += math.Abs(d.EstBenefit - float64(d.NewCovered))
-		case *Round:
+			s.EstSum += e.EstBenefit
+			s.RealSum += float64(e.NewCovered)
+			s.AbsErrSum += math.Abs(e.EstBenefit - float64(e.NewCovered))
+		case obs.EventRound:
 			s.Rounds++
-			s.FinalBudget = d.BudgetLeft
+			s.FinalBudget = e.BudgetLeft
 			s.HasBudget = true
-		case *Alloc:
-			if d.Iface != "" {
-				ifaces[d.Iface] = true
-			}
-		case *Retry:
+		case obs.EventRetry:
 			s.Retries++
-		case *RateLimit:
+		case obs.EventRateLimit:
 			s.RateLimited++
-		case *Fault:
+		case obs.EventFault:
 			s.Faults++
-			s.FaultClasses[d.Class]++
-		case *Requeue:
+			s.FaultClasses[e.Class]++
+		case obs.EventRequeue:
 			s.Requeues++
-		case *Forfeit:
+		case obs.EventForfeit:
 			s.Forfeits++
-		case *Breaker:
-			if d.To == "open" {
+		case obs.EventBreaker:
+			if e.To == "open" {
 				s.BreakerOpens++
 			}
-		case *Checkpoint:
+		case obs.EventCheckpoint:
 			s.Checkpoints++
-		case *Recovered:
+		case obs.EventRecovered:
 			s.Recoveries++
-		case *WalAppend:
+		case obs.EventWalAppend:
 			s.WalAppends++
-		case *Phase:
-			s.PhaseMs[d.Phase] += d.DurMs
-		default:
-			s.Unknown++
+		case obs.EventPhase:
+			s.PhaseMs[e.Phase] += e.DurMs
+		}
+		if e.Iface != "" {
+			ifaces[e.Iface] = true
 		}
 	}
 	for name := range ifaces {
 		s.Ifaces = append(s.Ifaces, name)
 	}
-	sortStrings(s.Ifaces)
+	sort.Strings(s.Ifaces)
 	if len(events) > 0 {
 		s.WallMs = events[len(events)-1].TMs - events[0].TMs
 	}
@@ -143,31 +143,31 @@ func Rounds(events []Event) []RoundStat {
 	cum := 0
 	for i := range events {
 		e := &events[i]
-		if r, ok := e.Data.(*Round); ok {
+		if e.Type == obs.EventRound {
 			rounds = append(rounds, RoundStat{
-				Index: len(rounds), Size: r.Size, BudgetLeft: r.BudgetLeft, CumEnd: cum,
+				Index: len(rounds), Size: e.Size, BudgetLeft: e.BudgetLeft, CumEnd: cum,
 			})
 			cur = &rounds[len(rounds)-1]
 			cur.Events = append(cur.Events, e)
 			continue
 		}
 		cur.Events = append(cur.Events, e)
-		switch d := e.Data.(type) {
-		case *Query:
+		switch e.Type {
+		case obs.EventQuery:
 			cur.Queries++
-			cur.NewCovered += d.NewCovered
-			if d.CumCovered > cum {
-				cum = d.CumCovered
+			cur.NewCovered += e.NewCovered
+			if e.CumCovered > cum {
+				cum = e.CumCovered
 			}
 			cur.CumEnd = cum
-			if d.Solid {
+			if e.Solid {
 				cur.Solid++
 			}
-		case *Fault:
+		case obs.EventFault:
 			cur.Faults++
-		case *Requeue:
+		case obs.EventRequeue:
 			cur.Requeues++
-		case *Forfeit:
+		case obs.EventForfeit:
 			cur.Forfeits++
 		}
 	}
@@ -181,10 +181,10 @@ func Rounds(events []Event) []RoundStat {
 // Filter selects events. Zero-valued fields match everything.
 type Filter struct {
 	Types    []string // event type tags; empty = all
-	Iface    string   // query/alloc events of this interface only
+	Iface    string   // events tagged with this interface only (query, alloc, health)
 	RoundMin int      // 1-based round range; 0 = open end
 	RoundMax int
-	QuerySub string // substring of the query text
+	QuerySub string // substring of the event's query text
 }
 
 // Apply returns the matching events in order. Round membership counts
@@ -199,7 +199,7 @@ func (f Filter) Apply(events []Event) []Event {
 	round := 0
 	for i := range events {
 		e := &events[i]
-		if _, ok := e.Data.(*Round); ok {
+		if e.Type == obs.EventRound {
 			round++
 		}
 		if len(types) > 0 && !types[e.Type] {
@@ -211,39 +211,11 @@ func (f Filter) Apply(events []Event) []Event {
 		if f.RoundMax > 0 && round > f.RoundMax {
 			continue
 		}
-		if f.Iface != "" {
-			switch d := e.Data.(type) {
-			case *Query:
-				if d.Iface != f.Iface {
-					continue
-				}
-			case *Alloc:
-				if d.Iface != f.Iface {
-					continue
-				}
-			default:
-				continue
-			}
+		if f.Iface != "" && e.Iface != f.Iface {
+			continue
 		}
-		if f.QuerySub != "" {
-			q := ""
-			switch d := e.Data.(type) {
-			case *Query:
-				q = d.Query
-			case *Retry:
-				q = d.Query
-			case *RateLimit:
-				q = d.Query
-			case *Fault:
-				q = d.Query
-			case *Requeue:
-				q = d.Query
-			case *Forfeit:
-				q = d.Query
-			}
-			if !strings.Contains(q, f.QuerySub) {
-				continue
-			}
+		if f.QuerySub != "" && !strings.Contains(e.Query, f.QuerySub) {
+			continue
 		}
 		out = append(out, *e)
 	}
@@ -276,12 +248,12 @@ type TopQuery struct {
 func Top(events []Event, by TopBy, n int) []TopQuery {
 	var qs []TopQuery
 	for i := range events {
-		if d, ok := events[i].Data.(*Query); ok {
+		if e := &events[i]; e.Type == obs.EventQuery {
 			qs = append(qs, TopQuery{
-				Seq: events[i].Seq, Query: d.Query, Iface: d.Iface,
-				Est: d.EstBenefit, Realized: d.NewCovered,
-				AbsErr: math.Abs(d.EstBenefit - float64(d.NewCovered)),
-				Solid:  d.Solid,
+				Seq: e.Seq, Query: e.Query, Iface: e.Iface,
+				Est: e.EstBenefit, Realized: e.NewCovered,
+				AbsErr: math.Abs(e.EstBenefit - float64(e.NewCovered)),
+				Solid:  e.Solid,
 			})
 		}
 	}

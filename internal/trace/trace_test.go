@@ -51,8 +51,8 @@ func emitAllTypes(t *testing.T) []byte {
 }
 
 // TestRoundTripAllTypes parses a trace carrying every documented event
-// type: nothing may come back Unknown, and the typed payloads must carry
-// the hook arguments through unchanged.
+// type: nothing may come back Unknown, and every event must carry its
+// hook's arguments, under their wire names, and no other field.
 func TestRoundTripAllTypes(t *testing.T) {
 	events, err := Parse(bytes.NewReader(emitAllTypes(t)))
 	if err != nil {
@@ -63,9 +63,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 		e := &events[i]
 		if e.Unknown() {
 			t.Errorf("event %d (%s) parsed as unknown", i, e.Type)
-		}
-		if e.Seq != uint64(i) {
-			t.Errorf("event %d has seq %d", i, e.Seq)
 		}
 		if e.Raw == "" {
 			t.Errorf("event %d lost its raw line", i)
@@ -78,25 +75,62 @@ func TestRoundTripAllTypes(t *testing.T) {
 		}
 	}
 
-	// Spot-check payload fidelity across the union projection.
-	if d, ok := events[0].Data.(*Recovered); !ok || d.Records != 12 || d.WalSeq != 9 || !d.Torn {
-		t.Errorf("recovered payload = %+v", events[0].Data)
+	want := []Event{
+		{Type: "recovered", Path: "crawl.wal", Records: 12, Covered: 17, Queries: 2, WalSeq: 9, Torn: true},
+		{Type: "round", Size: 2, BudgetLeft: 95},
+		{Type: "alloc", Iface: "acm", EstBenefit: 3.25, BudgetLeft: 90},
+		{Type: "query", Query: "deep web crawling", EstBenefit: 2.5, ResultSize: 40, NewCovered: 12, CumCovered: 12},
+		{Type: "query", Query: "query optimization", EstBenefit: 1.5, ResultSize: 10, NewCovered: 5, CumCovered: 17,
+			Solid: true, Iface: "acm"},
+		{Type: "retry", Query: "deep web crawling", Attempt: 1, WaitMs: 10, Err: "http 504"},
+		{Type: "rate_limit", Query: "deep web crawling", Tokens: 1.5},
+		{Type: "fault", Query: "deep web crawling", Class: "http_500", Attempt: 1},
+		{Type: "breaker", From: "closed", To: "open", Failures: 3},
+		{Type: "requeue", Query: "query optimization", Attempt: 1, Err: "breaker open"},
+		{Type: "forfeit", Query: "query optimization", Attempt: 3, Err: "breaker open"},
+		{Type: "deadline_forfeit", Query: "query optimization", Attempt: 3},
+		{Type: "health", Iface: "acm", Score: 0.8, Probe: true},
+		{Type: "wal_append", Kind: "query", WalSeq: 7, Bytes: 64},
+		{Type: "checkpoint", Path: "crawl.ckpt", Covered: 17, Queries: 2},
+		{Type: "phase", Phase: "crawl", DurMs: 5},
 	}
-	if d, ok := events[3].Data.(*Query); !ok || d.Query != "deep web crawling" ||
-		d.EstBenefit != 2.5 || d.NewCovered != 12 || d.Iface != "" {
-		t.Errorf("query payload = %+v", events[3].Data)
+	if len(events) != len(want) {
+		t.Fatalf("parsed %d events, want %d", len(events), len(want))
 	}
-	if d, ok := events[4].Data.(*Query); !ok || d.Iface != "acm" || !d.Solid || d.CumCovered != 17 {
-		t.Errorf("tagged query payload = %+v", events[4].Data)
+	for i, e := range events {
+		w := want[i]
+		w.Seq, w.TMs, w.Raw = uint64(i), 3600001+int64(i), e.Raw
+		if e != w {
+			t.Errorf("event %d = %+v\nwant %+v", i, e, w)
+		}
 	}
-	if d, ok := events[10].Data.(*Forfeit); !ok || d.Attempts != 3 || d.Err != "breaker open" {
-		t.Errorf("forfeit payload = %+v", events[10].Data)
+}
+
+// TestAnalysesKnowEveryType runs the analyses over a trace of every
+// documented type: Summarize must count none of them unknown, and a
+// filter must select each event that names the query or interface,
+// whatever its type.
+func TestAnalysesKnowEveryType(t *testing.T) {
+	events, err := Parse(bytes.NewReader(emitAllTypes(t)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d, ok := events[11].Data.(*DeadlineForfeit); !ok || d.Query != "query optimization" || d.Attempt != 3 {
-		t.Errorf("deadline_forfeit payload = %+v", events[11].Data)
+	if s := Summarize(events); s.Unknown != 0 {
+		t.Errorf("summary counts %d unknown events in a trace of known types", s.Unknown)
 	}
-	if d, ok := events[12].Data.(*Health); !ok || d.Iface != "acm" || d.Score != 0.8 || !d.Probe {
-		t.Errorf("health payload = %+v", events[12].Data)
+	types := func(events []Event) string {
+		var ts []string
+		for _, e := range events {
+			ts = append(ts, e.Type)
+		}
+		return strings.Join(ts, " ")
+	}
+	if got, want := types(Filter{QuerySub: "optimization"}.Apply(events)),
+		"query requeue forfeit deadline_forfeit"; got != want {
+		t.Errorf("q= filter selected [%s], want [%s]", got, want)
+	}
+	if got, want := types(Filter{Iface: "acm"}.Apply(events)), "alloc query health"; got != want {
+		t.Errorf("iface= filter selected [%s], want [%s]", got, want)
 	}
 }
 
