@@ -115,9 +115,9 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			var limiter *httpapi.TokenBucket
+			var limiter *deepweb.Bucket
 			if sp.Rate > 0 {
-				limiter = httpapi.NewTokenBucket(sp.Burst, sp.Rate)
+				limiter = deepweb.NewBucket(sp.Burst, sp.Rate)
 			}
 			psrv := httpapi.NewServer(backend, tk, limiter)
 			psrv.SetObs(o)
@@ -152,9 +152,9 @@ func main() {
 	}
 	db := hidden.New(table, tk, *k, rank, mode)
 
-	var limiter *httpapi.TokenBucket
+	var limiter *deepweb.Bucket
 	if *rate > 0 {
-		limiter = httpapi.NewTokenBucket(*burst, *rate)
+		limiter = deepweb.NewBucket(*burst, *rate)
 	}
 	var searcher deepweb.Searcher = db
 	if *faultSpec != "" {

@@ -3,8 +3,8 @@
 // such an endpoint. It makes the reproduction's "restricted interface"
 // literal: the crawler side sees nothing but an HTTP API with a top-k
 // limit and a request quota, exactly like the Yelp/Google endpoints that
-// motivate the paper (§1). A token-bucket rate limiter simulates per-day
-// API quotas.
+// motivate the paper (§1). A deepweb.Bucket in front of the server
+// simulates per-day API quotas.
 package httpapi
 
 import (
@@ -49,8 +49,8 @@ type errorResponse struct {
 type Server struct {
 	searcher deepweb.Searcher
 	tk       *tokenize.Tokenizer
-	limiter  *TokenBucket // nil = unlimited
-	obs      *obs.Obs     // nil = uninstrumented
+	limiter  *deepweb.Bucket // nil = unlimited
+	obs      *obs.Obs        // nil = uninstrumented
 
 	mu          sync.Mutex
 	searches    int
@@ -59,7 +59,7 @@ type Server struct {
 }
 
 // NewServer wraps searcher. A nil limiter disables rate limiting.
-func NewServer(searcher deepweb.Searcher, tk *tokenize.Tokenizer, limiter *TokenBucket) *Server {
+func NewServer(searcher deepweb.Searcher, tk *tokenize.Tokenizer, limiter *deepweb.Bucket) *Server {
 	return &Server{searcher: searcher, tk: tk, limiter: limiter}
 }
 
@@ -289,44 +289,4 @@ func (c *Client) K() int {
 func (c *Client) Probe(q deepweb.Query) error {
 	_, err := c.Search(q)
 	return err
-}
-
-// TokenBucket is a thread-safe token-bucket rate limiter: capacity tokens,
-// refilled at rate tokens per interval. Allow is non-blocking.
-type TokenBucket struct {
-	mu       sync.Mutex
-	tokens   float64
-	capacity float64
-	perSec   float64
-	last     time.Time
-	now      func() time.Time
-}
-
-// NewTokenBucket creates a bucket holding capacity tokens, refilled at
-// refill tokens/second. It starts full.
-func NewTokenBucket(capacity int, refillPerSec float64) *TokenBucket {
-	return &TokenBucket{
-		tokens:   float64(capacity),
-		capacity: float64(capacity),
-		perSec:   refillPerSec,
-		last:     time.Now(),
-		now:      time.Now,
-	}
-}
-
-// Allow consumes one token if available.
-func (b *TokenBucket) Allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	b.tokens += now.Sub(b.last).Seconds() * b.perSec
-	b.last = now
-	if b.tokens > b.capacity {
-		b.tokens = b.capacity
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
 }

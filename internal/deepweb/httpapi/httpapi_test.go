@@ -16,7 +16,7 @@ import (
 	"smartcrawl/internal/tokenize"
 )
 
-func newTestServer(t *testing.T, limiter *TokenBucket) (*httptest.Server, *fixture.Universe) {
+func newTestServer(t *testing.T, limiter *deepweb.Bucket) (*httptest.Server, *fixture.Universe) {
 	t.Helper()
 	u := fixture.New()
 	srv := NewServer(u.DB, u.Tokenizer, limiter)
@@ -93,7 +93,7 @@ func TestHealthz(t *testing.T) {
 
 func TestRateLimiting(t *testing.T) {
 	// 3 tokens, no refill: the 4th request must 429.
-	ts, _ := newTestServer(t, NewTokenBucket(3, 0))
+	ts, _ := newTestServer(t, deepweb.NewBucket(3, 0))
 	c := &Client{BaseURL: ts.URL}
 	for i := 0; i < 3; i++ {
 		if _, err := c.Search(deepweb.Query{"thai"}); err != nil {
@@ -108,7 +108,7 @@ func TestRateLimiting(t *testing.T) {
 }
 
 func TestClientRetriesAfter429(t *testing.T) {
-	bucket := NewTokenBucket(1, 20) // refills fast
+	bucket := deepweb.NewBucket(1, 20) // refills fast
 	ts, _ := newTestServer(t, bucket)
 	c := &Client{BaseURL: ts.URL, Retries: 3, RetryDelay: 100 * time.Millisecond}
 	if _, err := c.Search(deepweb.Query{"thai"}); err != nil {
@@ -124,26 +124,6 @@ func TestClientValidatesQueries(t *testing.T) {
 	c := &Client{BaseURL: "http://example.invalid"}
 	if _, err := c.Search(deepweb.Query{"NOT-LOWER"}); err == nil {
 		t.Fatal("client must validate before sending")
-	}
-}
-
-func TestTokenBucketRefill(t *testing.T) {
-	b := NewTokenBucket(2, 1000)
-	now := time.Unix(0, 0)
-	b.now = func() time.Time { return now }
-	b.last = now
-	if !b.Allow() || !b.Allow() {
-		t.Fatal("bucket should start full")
-	}
-	if b.Allow() {
-		t.Fatal("bucket should be empty")
-	}
-	now = now.Add(10 * time.Millisecond) // +10 tokens, capped at 2
-	if !b.Allow() || !b.Allow() {
-		t.Fatal("bucket should refill")
-	}
-	if b.Allow() {
-		t.Fatal("refill must cap at capacity")
 	}
 }
 
@@ -254,7 +234,7 @@ func TestServerMapsInjectedFaults(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t, NewTokenBucket(2, 0))
+	ts, _ := newTestServer(t, deepweb.NewBucket(2, 0))
 	c := &Client{BaseURL: ts.URL}
 	_, _ = c.Search(deepweb.Query{"thai"})
 	_, _ = c.Search(deepweb.Query{"house"})

@@ -16,13 +16,13 @@ import (
 // it, and the bucket refills while the backoff waits.
 var ErrRateLimited = errors.New("deepweb: rate limited")
 
-// Bucket is a thread-safe token-bucket rate limiter for client-side
-// pacing: capacity tokens, refilled continuously at a per-second rate.
-// Unlike the server-side httpapi.TokenBucket (which models the remote
-// quota), Bucket sits in front of a Searcher so a concurrent crawl
-// pipeline never exceeds the polite request rate in the first place —
-// fanning a batch over N workers multiplies instantaneous load by N, and
-// real APIs ban clients for that.
+// Bucket is a thread-safe token-bucket rate limiter: capacity tokens,
+// refilled continuously at a per-second rate. On the client side (see
+// Limited) it sits in front of a Searcher so a concurrent crawl pipeline
+// never exceeds the polite request rate in the first place — fanning a
+// batch over N workers multiplies instantaneous load by N, and real APIs
+// ban clients for that. On the server side it models the remote quota
+// (httpapi.NewServer) and a crawld tenant's admission rate.
 type Bucket struct {
 	mu       sync.Mutex
 	tokens   float64
