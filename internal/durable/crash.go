@@ -2,10 +2,8 @@ package durable
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
-	"syscall"
 )
 
 // CrashEnv is the environment variable the smartcrawl binary reads a
@@ -88,13 +86,4 @@ func ParseCrashPoint(spec string) (crashPoint, error) {
 // counters to match — see Sink.append) and the global count otherwise.
 func (cp crashPoint) active(kind string, iface, count int) bool {
 	return cp.kind == kind && (cp.iface < 0 || cp.iface == iface) && cp.n == count
-}
-
-// die SIGKILLs the current process — the real thing, not an exit: no
-// deferred functions, no file closing, no flushing, exactly what an OOM
-// kill or power-cut-with-surviving-page-cache looks like to the next
-// process.
-func die() {
-	syscall.Kill(os.Getpid(), syscall.SIGKILL)
-	select {} // unreachable; belt and braces if the signal is slow
 }
