@@ -33,10 +33,11 @@ func ExampleJoiner() {
 	// [0 1]
 }
 
-// ExampleAnd composes attribute-wise matchers into an ER rule.
-func ExampleAnd() {
+// ExampleBlockedAnd composes attribute-wise matchers into an ER rule: a
+// fuzzy name block the Joiner can index, verified by an exact city check.
+func ExampleBlockedAnd() {
 	tk := tokenize.New()
-	rule := match.And(
+	rule := match.NewBlockedAnd(
 		match.NewJaccardOn(tk, 0.5, []int{0}, []int{0}), // fuzzy name
 		match.NewExactOn(tk, []int{1}, []int{1}),        // exact city
 	)

@@ -2,76 +2,15 @@ package match
 
 import "smartcrawl/internal/relational"
 
-// Rule combinators compose attribute-wise matchers into the kind of
-// entity-resolution predicates practical systems use — e.g. "name Jaccard
-// ≥ 0.8 AND city exactly equal". Each component matcher typically uses
-// column projections (NewExactOn / NewJaccardOn), and the combinators are
-// themselves Matchers, so they plug into the crawl loop's black box
-// unchanged. The Joiner cannot index arbitrary combinations, so composed
-// matchers fall back to its full-scan path; keep local databases indexed
-// through a projected Exact/Jaccard matcher when probe cost matters, or
-// use FirstIndexable below.
-type andMatcher struct{ parts []Matcher }
-
-// And matches when every component matches.
-func And(parts ...Matcher) Matcher {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	return andMatcher{parts: parts}
-}
-
-// Match implements Matcher.
-func (m andMatcher) Match(d, h *relational.Record) bool {
-	for _, p := range m.parts {
-		if !p.Match(d, h) {
-			return false
-		}
-	}
-	return true
-}
-
-type orMatcher struct{ parts []Matcher }
-
-// Or matches when any component matches.
-func Or(parts ...Matcher) Matcher {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	return orMatcher{parts: parts}
-}
-
-// Match implements Matcher.
-func (m orMatcher) Match(d, h *relational.Record) bool {
-	for _, p := range m.parts {
-		if p.Match(d, h) {
-			return true
-		}
-	}
-	return false
-}
-
-type notMatcher struct{ inner Matcher }
-
-// Not inverts a matcher — useful for exclusion rules ("same name but NOT
-// the same city" in dedup pipelines).
-func Not(inner Matcher) Matcher { return notMatcher{inner: inner} }
-
-// Match implements Matcher.
-func (m notMatcher) Match(d, h *relational.Record) bool {
-	return !m.inner.Match(d, h)
-}
-
-// FuncMatcher adapts a plain predicate.
-type FuncMatcher func(d, h *relational.Record) bool
-
-// Match implements Matcher.
-func (f FuncMatcher) Match(d, h *relational.Record) bool { return f(d, h) }
-
-// BlockedAnd is And with an indexable first component: the Joiner indexes
-// the block (an *Exact or *Jaccard matcher) and the remaining predicates
-// verify each block candidate — the classic blocking-then-verification ER
-// pipeline (Christen [16]). The Joiner type-switches on *BlockedAnd.
+// BlockedAnd is an entity-resolution rule of the kind practical systems
+// use — e.g. "name Jaccard ≥ 0.8 AND city exactly equal" — whose first
+// component is indexable: the Joiner indexes the block (an *Exact or
+// *Jaccard matcher, typically on key columns via NewExactOn / NewJaccardOn)
+// and the remaining predicates verify each block candidate — the classic
+// blocking-then-verification ER pipeline (Christen [16]). The Joiner
+// type-switches on *BlockedAnd; with any other block it falls back to a
+// full scan. A BlockedAnd is itself a Matcher, so it plugs into the crawl
+// loop's black box unchanged.
 type BlockedAnd struct {
 	// Block is the indexable candidate generator (must be *Exact or
 	// *Jaccard for the Joiner to index it; any Matcher works for plain

@@ -12,56 +12,6 @@ func biz(id int, name, city string) *relational.Record {
 	return &relational.Record{ID: id, Values: []string{name, city}}
 }
 
-func TestAndOrNot(t *testing.T) {
-	tk := tokenize.New()
-	nameFuzzy := NewJaccardOn(tk, 0.5, []int{0}, []int{0})
-	cityExact := NewExactOn(tk, []int{1}, []int{1})
-
-	d := biz(0, "Thai Noodle House", "Phoenix")
-	sameCity := biz(1, "Thai Noodle House Grand", "Phoenix")
-	otherCity := biz(2, "Thai Noodle House", "Tempe")
-	unrelated := biz(3, "Steak Palace", "Phoenix")
-
-	and := And(nameFuzzy, cityExact)
-	if !and.Match(d, sameCity) {
-		t.Error("And should match fuzzy name + same city")
-	}
-	if and.Match(d, otherCity) {
-		t.Error("And should reject different city")
-	}
-	if and.Match(d, unrelated) {
-		t.Error("And should reject different name")
-	}
-
-	or := Or(nameFuzzy, cityExact)
-	if !or.Match(d, otherCity) || !or.Match(d, unrelated) {
-		t.Error("Or should match on either predicate")
-	}
-	if or.Match(d, biz(4, "Pizza Place", "Tucson")) {
-		t.Error("Or should reject when neither matches")
-	}
-
-	not := Not(cityExact)
-	if not.Match(d, sameCity) || !not.Match(d, otherCity) {
-		t.Error("Not should invert")
-	}
-}
-
-func TestSingleComponentCollapse(t *testing.T) {
-	tk := tokenize.New()
-	m := NewExact(tk)
-	if And(m) != m || Or(m) != m {
-		t.Error("single-component And/Or should collapse to the component")
-	}
-}
-
-func TestFuncMatcher(t *testing.T) {
-	f := FuncMatcher(func(d, h *relational.Record) bool { return d.ID == h.ID })
-	if !f.Match(biz(5, "", ""), biz(5, "", "")) || f.Match(biz(5, "", ""), biz(6, "", "")) {
-		t.Error("FuncMatcher predicate not applied")
-	}
-}
-
 func TestBlockedAndMatch(t *testing.T) {
 	tk := tokenize.New()
 	m := NewBlockedAnd(
