@@ -45,10 +45,12 @@ lint: vet
 		echo "lint: staticcheck not installed; skipping"; \
 	fi
 
-# Pin of the zero-allocation steady-state selection kernel; runs without
-# -race because the detector instruments allocations.
+# Pins of the zero-allocation steady-state selection kernel and the warm
+# Jaccard probe; runs without -race because the detector instruments
+# allocations.
 allocguard:
 	$(GO) test -count=1 -run TestSteadyStateRemoveAllocFree ./internal/crawler/
+	$(GO) test -count=1 -run TestJaccardProbeAllocFree ./internal/match/
 
 # Chaos drill (docs/OPERATIONS.md): the fault-injection and resilience
 # tests, the Smart.Run golden oracle (its scenarios include severe faults,
@@ -152,6 +154,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPostingBlockRoundTrip -fuzztime 30s ./internal/index/
 	$(GO) test -fuzz FuzzResolveBatch -fuzztime 30s ./internal/index/
 	$(GO) test -fuzz FuzzHiddenSearch -fuzztime 30s ./internal/hidden/
+	$(GO) test -fuzz FuzzJaccardJoin -fuzztime 30s ./internal/match/
 
 # Line-coverage report; per-package baseline numbers are recorded in
 # DESIGN.md ("Observability" section) — regenerate them with this target

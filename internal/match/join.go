@@ -2,6 +2,7 @@ package match
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"smartcrawl/internal/relational"
@@ -20,10 +21,13 @@ import (
 //   - Jaccard: prefix-filtered token join (the classic All-Pairs filter:
 //     two sets with Jaccard ≥ τ must share a token within each other's
 //     first |x| − ⌈τ·|x|⌉ + 1 tokens under a global token order), then
-//     threshold verification;
+//     threshold verification. Tokens are interned as their ranks in that
+//     order, and each local record's projected token set is stored once as
+//     ascending ranks, so a candidate is verified by a merge count against
+//     the probe's sorted ranks;
 //   - any other Matcher: full scan (correct for arbitrary black boxes).
 //
-// Probes reuse internal scratch (dedup stamps, the prefix sort buffer), so
+// Probes reuse internal scratch (dedup stamps, the probe's rank buffer), so
 // a Joiner must not be probed from multiple goroutines concurrently; build
 // one Joiner per goroutine instead.
 type Joiner struct {
@@ -34,10 +38,15 @@ type Joiner struct {
 	// exact join state
 	exactKeys map[string][]int
 
-	// jaccard prefix-filter state
+	// jaccard prefix-filter state: each local token's rank in the global
+	// order (rarer tokens first), each record's token set as ascending
+	// ranks, the records indexed by the ranks in their prefix, and the
+	// records whose projection is empty (they match only an empty probe).
 	threshold float64
-	order     map[string]int // global token order: rarer tokens first
-	prefixInv map[string][]int
+	rank      map[string]uint32
+	sets      [][]uint32
+	prefixInv [][]int
+	empty     []int
 
 	// column projections taken from the matcher (nil = all columns)
 	dCols, hCols []int
@@ -48,10 +57,10 @@ type Joiner struct {
 
 	// probe-side scratch, reused across sequential probes: candidate dedup
 	// within one probe (probeSeen), across one batch (batchSeen — separate
-	// because CoveredBy nests Matches), and the prefix sort buffer.
+	// because CoveredBy nests Matches), and the probe's sorted ranks.
 	probeSeen denseSeen
 	batchSeen denseSeen
-	sortBuf   []string
+	rankBuf   []uint32
 }
 
 // denseSeen is a generation-stamped membership set over dense indices:
@@ -105,67 +114,62 @@ func NewJoiner(recs []*relational.Record, tk *tokenize.Tokenizer, m Matcher) *Jo
 }
 
 func (j *Joiner) buildPrefixIndex() {
-	// Global order: ascending document frequency, ties by token text.
+	toks := make([][]string, len(j.recs))
 	df := make(map[string]int)
-	for _, r := range j.recs {
-		for _, w := range projTokens(r, j.tk, j.dCols) {
+	total := 0
+	for i, r := range j.recs {
+		toks[i] = projTokens(r, j.tk, j.dCols)
+		total += len(toks[i])
+		for _, w := range toks[i] {
 			df[w]++
 		}
 	}
-	tokens := make([]string, 0, len(df))
+	// Global order: ascending document frequency, ties by token text.
+	vocab := make([]string, 0, len(df))
 	for w := range df {
-		tokens = append(tokens, w)
+		vocab = append(vocab, w)
 	}
-	sort.Slice(tokens, func(a, b int) bool {
-		if df[tokens[a]] != df[tokens[b]] {
-			return df[tokens[a]] < df[tokens[b]]
+	sort.Slice(vocab, func(a, b int) bool {
+		if df[vocab[a]] != df[vocab[b]] {
+			return df[vocab[a]] < df[vocab[b]]
 		}
-		return tokens[a] < tokens[b]
+		return vocab[a] < vocab[b]
 	})
-	j.order = make(map[string]int, len(tokens))
-	for i, w := range tokens {
-		j.order[w] = i
+	j.rank = make(map[string]uint32, len(vocab))
+	for i, w := range vocab {
+		j.rank[w] = uint32(i)
 	}
-	j.prefixInv = make(map[string][]int)
-	for i, r := range j.recs {
-		for _, w := range j.prefixTokens(projTokens(r, j.tk, j.dCols)) {
-			j.prefixInv[w] = append(j.prefixInv[w], i)
+	j.sets = make([][]uint32, len(j.recs))
+	j.prefixInv = make([][]int, len(vocab))
+	flat := make([]uint32, 0, total)
+	for i, ws := range toks {
+		for _, w := range ws {
+			flat = append(flat, j.rank[w])
+		}
+		set := flat[len(flat)-len(ws) : len(flat) : len(flat)]
+		slices.Sort(set)
+		j.sets[i] = set
+		if len(set) == 0 {
+			j.empty = append(j.empty, i)
+		}
+		for _, r := range set[:j.prefixLen(len(set))] {
+			j.prefixInv[r] = append(j.prefixInv[r], i)
 		}
 	}
 }
 
-// prefixTokens returns the first |x| − ⌈τ·|x|⌉ + 1 tokens of x under the
-// global order. Tokens unknown to the order (probe-side novelties) sort
-// last among themselves by text. The result aliases a reused buffer and
-// is valid only until the next call.
-func (j *Joiner) prefixTokens(toks []string) []string {
-	if len(toks) == 0 {
-		return nil
+// prefixLen returns the All-Pairs prefix length n − t + 1 of a set of n
+// tokens, clamped to [1, n] (0 for an empty set), where t is the least
+// overlap k whose k/n passes verification's float64 test. t starts at
+// ⌈τ·n⌉ and is lowered while t−1 passes too: τ·n can round up past an
+// integer the test accepts (0.07·100 is 7.000000000000001, yet 7/100
+// passes τ 0.07), and a prefix one token short would miss such a pair.
+func (j *Joiner) prefixLen(n int) int {
+	t := int(math.Ceil(j.threshold * float64(n)))
+	for t > 0 && float64(t-1)/float64(n) >= j.threshold {
+		t--
 	}
-	sorted := append(j.sortBuf[:0], toks...)
-	j.sortBuf = sorted
-	sort.Slice(sorted, func(a, b int) bool {
-		oa, oka := j.order[sorted[a]]
-		ob, okb := j.order[sorted[b]]
-		switch {
-		case oka && okb:
-			return oa < ob
-		case oka:
-			return true
-		case okb:
-			return false
-		default:
-			return sorted[a] < sorted[b]
-		}
-	})
-	p := len(sorted) - int(math.Ceil(j.threshold*float64(len(sorted)))) + 1
-	if p > len(sorted) {
-		p = len(sorted)
-	}
-	if p < 1 {
-		p = 1
-	}
-	return sorted[:p]
+	return min(max(n-t+1, 1), n)
 }
 
 // Matches returns the indices (into the record slice passed to NewJoiner)
@@ -175,7 +179,7 @@ func (j *Joiner) Matches(h *relational.Record) []int {
 	switch {
 	case j.exactKeys != nil:
 		cands = j.exactKeys[KeyOn(h, j.tk, j.hCols)]
-	case j.prefixInv != nil:
+	case j.rank != nil:
 		cands = j.jaccardMatches(h)
 	default:
 		for i, d := range j.recs {
@@ -206,20 +210,53 @@ func (j *Joiner) Matches(h *relational.Record) []int {
 
 func (j *Joiner) jaccardMatches(h *relational.Record) []int {
 	probe := projTokens(h, j.tk, j.hCols)
+	if len(probe) == 0 {
+		return j.empty // JaccardSim is 1 for two empty sets, 0 for one
+	}
+	known := j.rankBuf[:0]
+	for _, w := range probe {
+		if r, ok := j.rank[w]; ok {
+			known = append(known, r)
+		}
+	}
+	slices.Sort(known)
+	j.rankBuf = known
+	// A token no local record has still counts in |h|, and so in the
+	// prefix length, but it would sort after every known rank and has no
+	// postings: only the known part of the prefix yields candidates.
+	n := len(probe)
 	j.probeSeen.reset(len(j.recs))
 	var out []int
-	for _, w := range j.prefixTokens(probe) {
-		for _, i := range j.prefixInv[w] {
+	for _, r := range known[:min(j.prefixLen(n), len(known))] {
+		for _, i := range j.prefixInv[r] {
 			if !j.probeSeen.add(i) {
 				continue
 			}
-			if JaccardSim(projTokens(j.recs[i], j.tk, j.dCols), probe) >= j.threshold {
+			d := j.sets[i]
+			inter := overlapRanks(d, known)
+			if float64(inter)/float64(len(d)+n-inter) >= j.threshold {
 				out = append(out, i)
 			}
 		}
 	}
 	sort.Ints(out)
 	return out
+}
+
+// overlapRanks counts the ranks common to two ascending rank sets.
+func overlapRanks(a, b []uint32) int {
+	n, x, y := 0, 0, 0
+	for x < len(a) && y < len(b) {
+		switch {
+		case a[x] < b[y]:
+			x++
+		case a[x] > b[y]:
+			y++
+		default:
+			n, x, y = n+1, x+1, y+1
+		}
+	}
+	return n
 }
 
 // CoveredBy returns the distinct local-record indices matched by any record

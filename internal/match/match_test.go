@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -198,51 +199,144 @@ func TestJoinerExact(t *testing.T) {
 }
 
 // TestJoinerJaccardMatchesBruteForce is the key property test: the
-// prefix-filtered join must return exactly the records a full scan returns.
+// prefix-filtered join must return exactly the records a full scan
+// returns. It covers whole documents whose hidden side carries columns
+// with tokens no local record has (the yelp shape), key-column
+// projections with DCols ≠ HCols, empty projections on both sides, long
+// prefixes (τ 0.1 and 0.3) as well as short ones, and CoveredBy.
 func TestJoinerJaccardMatchesBruteForce(t *testing.T) {
 	tk := tokenize.New()
 	rng := stats.NewRNG(17)
-	vocab := make([]string, 30)
-	for i := range vocab {
-		vocab[i] = fmt.Sprintf("tok%02d", i)
-	}
-	for _, threshold := range []float64{0.5, 0.75, 0.9, 1.0} {
-		m := NewJaccard(tk, threshold)
-		locals := make([]*relational.Record, 120)
-		for i := range locals {
-			n := 1 + rng.Intn(6)
-			doc := ""
-			for j := 0; j < n; j++ {
-				doc += vocab[rng.Intn(len(vocab))] + " "
+	// words draws up to most tokens from tok00..tok<vocab-1>; a draw of
+	// none, or of only the stop word "the", leaves a value with no tokens.
+	words := func(most, vocab int) string {
+		var b strings.Builder
+		for n := rng.Intn(most + 1); n > 0; n-- {
+			if rng.Intn(10) == 0 {
+				b.WriteString("the ")
+			} else {
+				fmt.Fprintf(&b, "tok%02d ", rng.Intn(vocab))
 			}
-			locals[i] = rec(i, doc)
 		}
-		j := NewJoiner(locals, tk, m)
-		for trial := 0; trial < 100; trial++ {
-			n := 1 + rng.Intn(6)
-			doc := ""
-			for w := 0; w < n; w++ {
-				doc += vocab[rng.Intn(len(vocab))] + " "
+		return b.String()
+	}
+	extra := func(prefix string) string {
+		if rng.Intn(3) == 0 {
+			return ""
+		}
+		return fmt.Sprintf("%s%d", prefix, rng.Intn(6))
+	}
+	// Local records are (name, city) over tok00–tok29. Hidden records are
+	// (name, category, city, rating): name and city also draw tok30–tok39,
+	// and category and rating share no token with the local side.
+	hidden := func(id int, name, city string) *relational.Record {
+		return &relational.Record{ID: id, Values: []string{name, extra("cat"), city, extra("stars")}}
+	}
+	shapes := []struct {
+		name string
+		m    func(th float64) *Jaccard
+	}{
+		{"whole documents", func(th float64) *Jaccard { return NewJaccard(tk, th) }},
+		{"name and city columns", func(th float64) *Jaccard {
+			return NewJaccardOn(tk, th, []int{0, 1}, []int{0, 2})
+		}},
+	}
+	for _, shape := range shapes {
+		for _, threshold := range []float64{0.1, 0.3, 0.5, 0.75, 0.9, 1.0} {
+			m := shape.m(threshold)
+			locals := make([]*relational.Record, 150)
+			locals[0] = &relational.Record{ID: 0, Values: []string{"", "the"}} // no tokens
+			for i := 1; i < len(locals); i++ {
+				locals[i] = &relational.Record{ID: i, Values: []string{words(4, 30), words(2, 30)}}
 			}
-			probe := rec(1000+trial, doc)
-
-			var want []int
-			for i, d := range locals {
-				if m.Match(d, probe) {
-					want = append(want, i)
+			j := NewJoiner(locals, tk, m)
+			for batch := 0; batch < 20; batch++ {
+				probes := make([]*relational.Record, 5)
+				for p := range probes {
+					probes[p] = hidden(1000+p, words(4, 40), words(2, 40))
+				}
+				if batch == 0 {
+					probes[0] = &relational.Record{ID: 999, Values: []string{"the", "", "", ""}} // no tokens
+					probes[1] = hidden(998, locals[1].Values[0], locals[1].Values[1])
+				}
+				var covered []int
+				for _, probe := range probes {
+					var want []int
+					for i, d := range locals {
+						if m.Match(d, probe) {
+							want = append(want, i)
+						}
+					}
+					if got := j.Matches(probe); !slices.Equal(got, want) {
+						t.Fatalf("%s, threshold %v, probe %v: got %v want %v",
+							shape.name, threshold, probe, got, want)
+					}
+					covered = append(covered, want...)
+				}
+				slices.Sort(covered)
+				covered = slices.Compact(covered)
+				if got := j.CoveredBy(probes); !slices.Equal(got, covered) {
+					t.Fatalf("%s, threshold %v: CoveredBy = %v, want %v",
+						shape.name, threshold, got, covered)
 				}
 			}
-			sort.Ints(want)
-			got := j.Matches(probe)
-			if len(got) == 0 {
-				got = nil
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("threshold %v probe %q: got %v want %v",
-					threshold, doc, got, want)
-			}
 		}
 	}
+}
+
+// FuzzJaccardJoin checks Joiner.Matches and CoveredBy against a full scan
+// of Jaccard.Match. Each line of locals and of probes is a record whose
+// columns are split by tabs; the join runs over whole documents and over
+// local column 0 against hidden column 1, at threshold (1 + pct%100)/100.
+func FuzzJaccardJoin(f *testing.F) {
+	f.Add("thai noodle house\tphoenix\nsteak house\ttempe\n\nthe", "thai noodle house grand\tthai noodle\nthe\t", uint8(49))
+	f.Add("a b c\nb c d\nc d e f g\nx", "b c x y z\ta b\nd e", uint8(9))
+	// At τ 0.07 the probe's 100 tokens need 7 shared with local record 0
+	// (7/100 passes the float64 test), but 0.07·100 is 7.000000000000001,
+	// so a prefix from ⌈τ·|h|⌉ = 8 stops one token short of c0, the first
+	// token the probe shares with record 0 (record 1 raises the common
+	// tokens' document frequency, so they sort after the rare ones).
+	var rare strings.Builder
+	for i := 0; i < 93; i++ {
+		fmt.Fprintf(&rare, "r%02d ", i)
+	}
+	common := "c0 c1 c2 c3 c4 c5 c6"
+	f.Add(common+"\n"+common+" extra\n"+rare.String(), rare.String()+common, uint8(6))
+	f.Fuzz(func(t *testing.T, locals, probes string, pct uint8) {
+		tk := tokenize.New()
+		threshold := float64(1+pct%100) / 100
+		records := func(s string) []*relational.Record {
+			var out []*relational.Record
+			for i, line := range strings.Split(s, "\n") {
+				out = append(out, &relational.Record{ID: i, Values: strings.Split(line, "\t")})
+			}
+			return out
+		}
+		ds, hs := records(locals), records(probes)
+		for _, m := range []*Jaccard{NewJaccard(tk, threshold), NewJaccardOn(tk, threshold, []int{0}, []int{1})} {
+			j := NewJoiner(ds, tk, m)
+			var covered []int
+			for _, h := range hs {
+				var want []int
+				for i, d := range ds {
+					if m.Match(d, h) {
+						want = append(want, i)
+					}
+				}
+				if got := j.Matches(h); !slices.Equal(got, want) {
+					t.Fatalf("threshold %v, columns %v/%v, probe %q: got %v want %v",
+						threshold, m.DCols, m.HCols, h.Values, got, want)
+				}
+				covered = append(covered, want...)
+			}
+			slices.Sort(covered)
+			covered = slices.Compact(covered)
+			if got := j.CoveredBy(hs); !slices.Equal(got, covered) {
+				t.Fatalf("threshold %v, columns %v/%v: CoveredBy = %v, want %v",
+					threshold, m.DCols, m.HCols, got, covered)
+			}
+		}
+	})
 }
 
 type nameMatcher struct{}
@@ -260,11 +354,14 @@ func TestJoinerBlackBoxFallback(t *testing.T) {
 	}
 }
 
-func BenchmarkJoinerJaccardProbe(b *testing.B) {
-	tk := tokenize.New()
+// zipfJoinUniverse returns n local records of six Zipf-drawn words over a
+// 3 000-word vocabulary, and 64 probes shaped like a crawl's hidden rows:
+// each is a local record's text plus extra words no local record has, as
+// a hidden row's category and rating columns are.
+func zipfJoinUniverse(n, extra int) (locals, probes []*relational.Record) {
 	rng := stats.NewRNG(3)
 	zipf := stats.NewZipf(rng, 1.0, 3000)
-	locals := make([]*relational.Record, 10000)
+	locals = make([]*relational.Record, n)
 	for i := range locals {
 		doc := ""
 		for j := 0; j < 6; j++ {
@@ -272,11 +369,42 @@ func BenchmarkJoinerJaccardProbe(b *testing.B) {
 		}
 		locals[i] = rec(i, doc)
 	}
-	j := NewJoiner(locals, tk, NewJaccard(tk, 0.9))
-	probe := locals[42].Clone()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		j.Matches(probe)
+	probes = make([]*relational.Record, 64)
+	for i := range probes {
+		doc := locals[rng.Intn(n)].Values[0]
+		for e := 0; e < extra; e++ {
+			doc += fmt.Sprintf("x%dy%d ", i, e)
+		}
+		probes[i] = rec(-1, doc)
 	}
+	return locals, probes
 }
+
+// BenchmarkJoinerJaccardProbe times one probe of a 10 000-record Jaccard
+// join: a clone of a local record at τ 0.9 (short prefixes, no probe-only
+// tokens), and at τ 0.5 a local record's text plus four probe-only words,
+// the shape of the yelp-remote crawl's probes.
+func BenchmarkJoinerJaccardProbe(b *testing.B) {
+	tk := tokenize.New()
+	locals, probes := zipfJoinUniverse(10000, 4)
+	b.Run("clone/t=0.9", func(b *testing.B) {
+		j := NewJoiner(locals, tk, NewJaccard(tk, 0.9))
+		probe := locals[42].Clone()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink = j.Matches(probe)
+		}
+	})
+	b.Run("extra-tokens/t=0.5", func(b *testing.B) {
+		j := NewJoiner(locals, tk, NewJaccard(tk, 0.5))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink = j.Matches(probes[i%len(probes)])
+		}
+	})
+}
+
+// benchSink keeps the benchmarked probes from being optimized away.
+var benchSink []int
